@@ -98,16 +98,17 @@ migrate-smoke:
 	cargo run --release -p tv-bench --bin migration_bench
 	TV_QPS_TOLERANCE=$(TV_QPS_TOLERANCE) cargo run --release -p tv-bench --bin check_regression -- --only migration_bench
 
-# Graph-layout gate: the packed-vs-pointer oracle identity suite, then the
-# paired layout sweep — the binary itself exits 1 if recall drifts beyond
-# ±0.0001 between layouts, if the work counters (distance computations,
-# hops) differ, or if packed+prefetch misses TV_LAYOUT_MIN_SPEEDUP × the
-# pointer-layout QPS — and the regression checker against the committed
-# baseline. The speedup floor defaults to the paper target 1.3x; the smoke
-# run relaxes it to 1.1x because even paired median-of-ratios measurement
-# keeps ~±0.15 run-to-run spread on shared hosts (override:
-# TV_LAYOUT_MIN_SPEEDUP=1.3 make layout-smoke on a quiet machine). The
-# sweep parameters must match the committed baseline
+# Graph-layout gate: the compiled-vs-forest oracle identity suite, then the
+# paired two-row layout sweep — the uncompiled build (pointer) against its
+# compiled clone (packed+prefetch). The binary itself exits 1 if recall
+# drifts beyond ±0.0001 between the two, if the work counters (distance
+# computations, hops) differ, or if packed+prefetch misses
+# TV_LAYOUT_MIN_SPEEDUP × the pointer QPS — then the regression checker
+# runs against the committed baseline. The speedup floor defaults to the
+# paper target 1.3x; the smoke run relaxes it to 1.1x because even paired
+# median-of-ratios measurement keeps ~±0.15 run-to-run spread on shared
+# hosts (override: TV_LAYOUT_MIN_SPEEDUP=1.3 make layout-smoke on a quiet
+# machine). The sweep parameters must match the committed baseline
 # (bench_results/baseline/layout_bench.json).
 TV_LAYOUT_MIN_SPEEDUP ?= 1.1
 layout-smoke:

@@ -153,7 +153,6 @@ impl SnbGraph {
             datatype: VectorDataType::Float,
             metric: tv_common::DistanceMetric::L2,
             quant: tv_common::QuantSpec::f32(),
-            layout: tv_common::GraphLayout::default(),
         })?;
         let post_emb = graph.add_embedding_in_space("Post", "content_emb", "content_space")?;
         let comment_emb =

@@ -23,8 +23,8 @@ use std::sync::Arc;
 use tv_common::bitmap::Filter;
 use tv_common::PreparedQuery;
 use tv_common::{
-    Bitmap, GraphLayout, Neighbor, NeighborHeap, PlannerConfig, QuantSpec, SegmentId, StorageTier,
-    Tid, TvError, TvResult, VertexId,
+    Bitmap, Neighbor, NeighborHeap, PlannerConfig, QuantSpec, SegmentId, StorageTier, Tid, TvError,
+    TvResult, VertexId,
 };
 use tv_hnsw::index::DeltaAction;
 use tv_hnsw::{DeltaRecord, HnswConfig, HnswIndex, SearchStats, VectorIndex};
@@ -54,7 +54,6 @@ pub struct EmbeddingSegment {
     pub segment_id: SegmentId,
     capacity: usize,
     quant: QuantSpec,
-    layout: GraphLayout,
     snapshots: RwLock<Vec<Arc<IndexSnapshot>>>,
     mem_deltas: RwLock<Vec<DeltaRecord>>,
     delta_files: RwLock<Vec<Arc<DeltaFile>>>,
@@ -71,7 +70,6 @@ impl EmbeddingSegment {
             segment_id,
             capacity,
             quant: def.quant,
-            layout: def.layout,
             snapshots: RwLock::new(vec![Arc::new(IndexSnapshot {
                 up_to: Tid::ZERO,
                 index: HnswIndex::new(cfg),
@@ -132,21 +130,6 @@ impl EmbeddingSegment {
             index.quantize(self.quant)?;
         }
         Ok(())
-    }
-
-    /// Compile the freshly built snapshot into its declared search layout
-    /// (`TV_LAYOUT` overrides the attribute's setting). Runs after
-    /// `apply_quant` so the BFS permutation carries the code slabs along
-    /// with the vectors. Purely representational: the snapshot serves
-    /// bit-identical results either way.
-    fn apply_layout(&self, index: &mut HnswIndex) {
-        index.compile_layout(GraphLayout::from_env().unwrap_or(self.layout));
-    }
-
-    /// The search-graph layout this segment compiles snapshots into.
-    #[must_use]
-    pub fn layout(&self) -> GraphLayout {
-        self.layout
     }
 
     /// Append committed deltas (TIDs must be non-decreasing and newer than
@@ -437,7 +420,9 @@ impl EmbeddingSegment {
         let mut index = base.index.clone();
         index.update_items_with(&records, build_threads)?;
         self.apply_quant(&mut index)?;
-        self.apply_layout(&mut index);
+        // Compile after quantizing so the BFS permutation carries the code
+        // slabs along with the vectors.
+        index.compile_layout();
         let snap = Arc::new(IndexSnapshot {
             up_to: new_tid,
             index,
@@ -475,7 +460,7 @@ impl EmbeddingSegment {
         }
         index.insert_batch(&items, build_threads)?;
         self.apply_quant(&mut index)?;
-        self.apply_layout(&mut index);
+        index.compile_layout();
         let up_to = read_tid.max(snap.up_to);
         self.snapshots
             .write()
@@ -790,33 +775,25 @@ mod tests {
         assert_eq!(r[0].id, vid(35));
     }
 
-    /// Index merges and rebuilds publish snapshots compiled into the
-    /// attribute's declared layout; pointer-layout attributes stay
-    /// uncompiled, and packed snapshots serve searches from the CSR form.
+    /// Index merges and rebuilds publish compiled snapshots, and searches
+    /// are served from the CSR form.
     #[test]
-    fn vacuum_compiles_declared_layout() {
+    fn vacuum_compiles_snapshots() {
         let (seg, vecs) = seeded_segment(50);
         seg.delta_merge(Tid(50));
         seg.index_merge(Tid(50)).unwrap();
-        assert_eq!(seg.layout(), GraphLayout::default());
-        assert_eq!(seg.newest_snapshot().index.layout(), GraphLayout::default());
+        assert_eq!(
+            seg.newest_snapshot().index.layout(),
+            tv_common::GraphLayout::PackedPrefetch
+        );
         let (r, stats) = seg.search(&vecs[7], 1, 32, None, Tid(50), &plan0());
         assert_eq!(r[0].id, vid(7));
         assert_eq!(stats.packed_searches, 1, "served from the packed form");
-
-        let pointer_def = def().with_layout(GraphLayout::Pointer);
-        let seg2 = EmbeddingSegment::new(SegmentId(1), &pointer_def, 1024);
-        let mut rng = SplitMix64::new(7);
-        let records: Vec<DeltaRecord> = (0..30)
-            .map(|i| DeltaRecord::upsert(vid(i), Tid(u64::from(i) + 1), rand_vec(&mut rng)))
-            .collect();
-        seg2.append_deltas(&records).unwrap();
-        seg2.delta_merge(Tid(30));
-        seg2.index_merge(Tid(30)).unwrap();
-        assert_eq!(seg2.newest_snapshot().index.layout(), GraphLayout::Pointer);
-        let tid = seg2.rebuild(Tid(30)).unwrap();
-        assert_eq!(tid, Tid(30));
-        assert_eq!(seg2.newest_snapshot().index.layout(), GraphLayout::Pointer);
+        seg.rebuild(Tid(50)).unwrap();
+        assert_eq!(
+            seg.newest_snapshot().index.layout(),
+            tv_common::GraphLayout::PackedPrefetch
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! rejected and a semantic error is returned."*
 
 use serde::{Deserialize, Serialize};
-use tv_common::{DistanceMetric, GraphLayout, QuantSpec, TvError, TvResult};
+use tv_common::{DistanceMetric, QuantSpec, TvError, TvResult};
 
 /// Which vector index backs an embedding attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -84,12 +84,6 @@ pub struct EmbeddingTypeDef {
     /// Storage tier for the attribute's segments (f32 / SQ8 / PQ) plus
     /// exact-rerank policy. Defaults to full-precision f32.
     pub quant: QuantSpec,
-    /// Search-time graph representation compiled at segment merge/rebuild:
-    /// the mutable pointer forest, or the frozen CSR layout (optionally with
-    /// software prefetch). Purely an execution knob — it never affects
-    /// compatibility or results.
-    #[serde(default)]
-    pub layout: GraphLayout,
 }
 
 impl EmbeddingTypeDef {
@@ -104,7 +98,6 @@ impl EmbeddingTypeDef {
             datatype: VectorDataType::Float,
             metric,
             quant: QuantSpec::f32(),
-            layout: GraphLayout::default(),
         }
     }
 
@@ -112,13 +105,6 @@ impl EmbeddingTypeDef {
     #[must_use]
     pub fn with_quant(mut self, quant: QuantSpec) -> Self {
         self.quant = quant;
-        self
-    }
-
-    /// Builder: set the compiled search-graph layout.
-    #[must_use]
-    pub fn with_layout(mut self, layout: GraphLayout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -198,9 +184,6 @@ pub struct EmbeddingSpace {
     pub metric: DistanceMetric,
     /// Shared storage tier / rerank policy for minted attributes.
     pub quant: QuantSpec,
-    /// Shared search-graph layout for minted attributes.
-    #[serde(default)]
-    pub layout: GraphLayout,
 }
 
 impl EmbeddingSpace {
@@ -217,7 +200,6 @@ impl EmbeddingSpace {
             datatype: self.datatype,
             metric: self.metric,
             quant: self.quant,
-            layout: self.layout,
         }
     }
 }
@@ -273,17 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn layout_is_an_execution_knob_not_metadata() {
-        // Attributes differing only in layout remain searchable together:
-        // layout changes the resident representation, never the results.
-        let a = gpt4("a");
-        let b = gpt4("b").with_layout(GraphLayout::Pointer);
-        assert_ne!(a.layout, b.layout);
-        assert!(a.compatible_with(&b));
-        assert!(EmbeddingTypeDef::check_compatible(&[&a, &b]).is_ok());
-    }
-
-    #[test]
     fn validate_rejects_bad_defs() {
         assert!(gpt4("ok").validate().is_ok());
         assert!(EmbeddingTypeDef::new("", 10, "m", DistanceMetric::L2)
@@ -318,7 +289,6 @@ mod tests {
             datatype: VectorDataType::Float,
             metric: DistanceMetric::Cosine,
             quant: QuantSpec::f32(),
-            layout: GraphLayout::default(),
         };
         let post = space.attribute("content_emb");
         let comment = space.attribute("content_emb");

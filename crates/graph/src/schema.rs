@@ -260,7 +260,6 @@ mod tests {
             datatype: VectorDataType::Float,
             metric: DistanceMetric::Cosine,
             quant: tv_common::QuantSpec::f32(),
-            layout: tv_common::GraphLayout::default(),
         };
         c.add_space(space.clone()).unwrap();
         assert!(c.add_space(space).is_err());

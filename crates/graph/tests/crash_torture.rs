@@ -45,8 +45,12 @@ fn config() -> ServiceConfig {
     }
 }
 
+/// A fresh scratch directory. Every call gets its own path: tests run
+/// concurrently in one process and several of them build the oracle.
 fn test_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tv-torture-{}-{label}", std::process::id()));
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("tv-torture-{}-{n}-{label}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -407,9 +411,8 @@ fn quantized_segment_checkpoint_recovery_is_byte_identical() {
 }
 
 /// Layout and serialized image of each segment's snapshot visible at the
-/// vacuum TID. The default attribute declares the packed+prefetch layout,
-/// so the index merge at TID 15 compiles the frozen CSR form and the
-/// checkpoint persists it (snapshot v3 carries the layout tag).
+/// vacuum TID. The index merge at TID 15 compiles the frozen CSR form and
+/// the checkpoint persists it (snapshot v3 carries the layout tag).
 fn compiled_snapshot_state(g: &Graph) -> Vec<(tv_common::GraphLayout, Vec<u8>)> {
     g.embeddings()
         .attr(EMB)
@@ -423,8 +426,7 @@ fn compiled_snapshot_state(g: &Graph) -> Vec<(tv_common::GraphLayout, Vec<u8>)> 
         .collect()
 }
 
-/// A segment with the default (packed+prefetch) layout compiles its frozen
-/// CSR form at the script's index merge; the checkpoint persists the
+/// A segment compiles its frozen CSR form at the script's index merge; the checkpoint persists the
 /// compiled snapshot and recovery restores it **byte-identically** — both
 /// via the checkpoint restore path (no recompile: the layout tag and BFS
 /// permutation ride in the snapshot bytes) and via a mid-checkpoint crash
@@ -437,8 +439,10 @@ fn compiled_segment_checkpoint_recovery_is_byte_identical() {
         run_from(&g, 1, N_TXNS).unwrap();
         let state = compiled_snapshot_state(&g);
         assert!(
-            state.iter().any(|(l, _)| l.is_packed()),
-            "index merge at TID 15 should have compiled the packed layout"
+            state
+                .iter()
+                .any(|(l, _)| *l != tv_common::GraphLayout::Pointer),
+            "index merge at TID 15 should have compiled the CSR form"
         );
         (fingerprint(&g), state)
     }; // process death

@@ -170,9 +170,10 @@ pub fn run_opts(
 
 /// [`run_opts`] with the vector-search statistics merged into `stats` —
 /// including the filtered-search planner's routing counters
-/// (`plans_brute` / `plans_in_traversal` / `plans_post_filter`,
-/// `ef_escalations`, `brute_fallbacks`), so callers can see *how* each
-/// query was executed. Graph-only and join queries leave `stats` untouched.
+/// (`plans_brute` / `plans_in_traversal` / `plans_post_filter` /
+/// `plans_unfiltered`, `ef_escalations`, `brute_fallbacks`), so callers
+/// can see *how* each query was executed. Graph-only and join queries
+/// leave `stats` untouched.
 #[allow(clippy::too_many_arguments)]
 pub fn run_opts_stats(
     graph: &Graph,

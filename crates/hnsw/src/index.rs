@@ -23,6 +23,7 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
 use tv_common::bitmap::Filter;
 use tv_common::kernels::{self, cosine_from_parts};
 use tv_common::{
@@ -198,47 +199,28 @@ impl QuantState {
     /// slot (the incremental-insert path).
     pub(crate) fn push(&mut self, metric: DistanceMetric, vector: &[f32]) {
         let slot = self.codes.len() / self.codec.code_len();
-        self.codes
-            .resize(self.codes.len() + self.codec.code_len(), 0);
         self.reencode(metric, slot, vector);
     }
 
     /// Re-encode `slot` in place from a new vector value (upsert path).
     pub(crate) fn reencode(&mut self, metric: DistanceMetric, slot: usize, vector: &[f32]) {
-        let k = kernels::active();
-        let dim = self.codec.dim();
-        let cl = self.codec.code_len();
-        self.codec
-            .encode_into(vector, &mut self.codes[slot * cl..(slot + 1) * cl]);
-        if metric == DistanceMetric::Cosine {
-            let mut recon = vec![0.0f32; dim];
-            self.codec
-                .reconstruct_into(&self.codes[slot * cl..(slot + 1) * cl], &mut recon);
-            let norm = k.norm_sq(&recon).sqrt();
-            if slot == self.recon_norms.len() {
-                self.recon_norms.push(norm);
-            } else {
-                self.recon_norms[slot] = norm;
-            }
-        }
+        encode_row(
+            &self.codec,
+            metric,
+            &mut self.codes,
+            &mut self.recon_norms,
+            slot,
+            vector,
+        );
         if let Some(r) = &mut self.rerank {
-            let rcl = r.codec.code_len();
-            if r.codes.len() < (slot + 1) * rcl {
-                r.codes.resize((slot + 1) * rcl, 0);
-            }
-            r.codec
-                .encode_into(vector, &mut r.codes[slot * rcl..(slot + 1) * rcl]);
-            if metric == DistanceMetric::Cosine {
-                let mut recon = vec![0.0f32; dim];
-                r.codec
-                    .reconstruct_into(&r.codes[slot * rcl..(slot + 1) * rcl], &mut recon);
-                let norm = k.norm_sq(&recon).sqrt();
-                if slot == r.recon_norms.len() {
-                    r.recon_norms.push(norm);
-                } else {
-                    r.recon_norms[slot] = norm;
-                }
-            }
+            encode_row(
+                &r.codec,
+                metric,
+                &mut r.codes,
+                &mut r.recon_norms,
+                slot,
+                vector,
+            );
         }
     }
 
@@ -299,23 +281,41 @@ fn encode_arena(
     dim: usize,
     metric: DistanceMetric,
 ) -> (Vec<u8>, Vec<f32>) {
-    let n = arena.len() / dim;
-    let cl = codec.code_len();
-    let k = kernels::active();
-    let mut codes = vec![0u8; n * cl];
+    let mut codes = Vec::with_capacity(arena.len() / dim * codec.code_len());
     let mut recon_norms = Vec::new();
-    let mut recon = vec![0.0f32; dim];
-    for i in 0..n {
-        codec.encode_into(
-            &arena[i * dim..(i + 1) * dim],
-            &mut codes[i * cl..(i + 1) * cl],
-        );
-        if metric == DistanceMetric::Cosine {
-            codec.reconstruct_into(&codes[i * cl..(i + 1) * cl], &mut recon);
-            recon_norms.push(k.norm_sq(&recon).sqrt());
-        }
+    for (slot, vector) in arena.chunks_exact(dim).enumerate() {
+        encode_row(codec, metric, &mut codes, &mut recon_norms, slot, vector);
     }
     (codes, recon_norms)
+}
+
+/// Encode `vector` into code row `slot` of `codes` (growing it to fit) and,
+/// for cosine, store the reconstruction's norm at `recon_norms[slot]`
+/// (appended when `slot` is the next row).
+fn encode_row(
+    codec: &Codec,
+    metric: DistanceMetric,
+    codes: &mut Vec<u8>,
+    recon_norms: &mut Vec<f32>,
+    slot: usize,
+    vector: &[f32],
+) {
+    let cl = codec.code_len();
+    if codes.len() < (slot + 1) * cl {
+        codes.resize((slot + 1) * cl, 0);
+    }
+    let row = &mut codes[slot * cl..(slot + 1) * cl];
+    codec.encode_into(vector, row);
+    if metric == DistanceMetric::Cosine {
+        let mut recon = vec![0.0f32; codec.dim()];
+        codec.reconstruct_into(row, &mut recon);
+        let norm = kernels::active().norm_sq(&recon).sqrt();
+        if slot == recon_norms.len() {
+            recon_norms.push(norm);
+        } else {
+            recon_norms[slot] = norm;
+        }
+    }
 }
 
 /// Either scoring backend, so one traversal implementation serves both
@@ -325,6 +325,130 @@ fn encode_arena(
 pub(crate) enum Scorer<'q> {
     F32(PreparedQuery<'q>),
     Quant(QuantQuery),
+}
+
+/// A borrowed view of an index's scored payload: the f32 arena with its
+/// norm cache and the optional quantized tier. The HNSW and IVF indexes
+/// share its scoring and exact-rerank stages.
+#[derive(Clone, Copy)]
+pub(crate) struct Payload<'a> {
+    pub(crate) dim: usize,
+    pub(crate) metric: DistanceMetric,
+    pub(crate) vectors: &'a [f32],
+    pub(crate) norms: &'a [f32],
+    pub(crate) quant: Option<&'a QuantState>,
+}
+
+impl Payload<'_> {
+    /// Scorer for an external query vector: prepared f32 query, or a
+    /// prepared quantized plan when a quantized tier is attached (traversal
+    /// always scores against codes in that case, even when the f32 arena is
+    /// retained for reranking).
+    pub(crate) fn scorer<'q>(self, query: &'q [f32]) -> Scorer<'q> {
+        match self.quant {
+            Some(q) => Scorer::Quant(QuantQuery::new(&q.codec, self.metric, query)),
+            None => Scorer::F32(PreparedQuery::new(self.metric, query)),
+        }
+    }
+
+    /// Batch-score `slots` against a scorer; distances land in `out` (one
+    /// entry per slot, same order). With `prefetch`, the f32 path
+    /// interleaves a request for the head of the next slot's row while
+    /// scoring the current one; the distances are identical either way.
+    #[inline]
+    pub(crate) fn score_slots(
+        self,
+        sc: &Scorer<'_>,
+        slots: &[u32],
+        out: &mut Vec<f32>,
+        prefetch: bool,
+    ) {
+        match sc {
+            Scorer::F32(pq) if prefetch => {
+                pq.distance_slots_prefetch(self.vectors, self.dim, self.norms, slots, out);
+            }
+            Scorer::F32(pq) => pq.distance_slots(self.vectors, self.dim, self.norms, slots, out),
+            Scorer::Quant(qq) => {
+                let q = self.quant.expect("quant scorer without codes");
+                qq.score_slots(&q.codes, &q.recon_norms, slots, out);
+            }
+        }
+    }
+
+    /// How many candidates the approximate stage must surface for a final
+    /// top-`k`: `rerank_factor × k` when an exact-rerank pass will follow
+    /// (retained f32 arena, or the SQ8 side store backing a PQ tier),
+    /// otherwise just `k`.
+    pub(crate) fn fetch_count(self, k: usize) -> usize {
+        match self.quant {
+            Some(q) if q.spec.keep_f32 || q.rerank.is_some() => {
+                k.saturating_mul(q.spec.rerank_factor.max(1))
+            }
+            _ => k,
+        }
+    }
+
+    /// Score every slot in `slots` and keep the `fetch` nearest, sorted by
+    /// distance (ties by slot) — the exact-scan stage of brute force and IVF
+    /// list probing. A bounded max-heap caps memory at O(fetch).
+    pub(crate) fn nearest(
+        self,
+        sc: &Scorer<'_>,
+        slots: &[u32],
+        fetch: usize,
+        stats: &mut SearchStats,
+    ) -> Vec<Scored> {
+        let mut dists: Vec<f32> = Vec::new();
+        self.score_slots(sc, slots, &mut dists, false);
+        stats.distance_computations += slots.len() as u64;
+        let mut heap: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
+        for (&slot, &d) in slots.iter().zip(&dists) {
+            heap.push((OrdF32(d), slot));
+            if heap.len() > fetch {
+                heap.pop();
+            }
+        }
+        let mut found: Vec<Scored> = heap.into_iter().map(|(OrdF32(d), s)| (d, s)).collect();
+        found.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        found
+    }
+
+    /// Exact-rerank stage: rescore the approximate candidates (sorted by
+    /// approximate distance) against the most precise representation
+    /// available (retained f32, else the SQ8 side store), then keep the best
+    /// `k`. Pass-through when the index is unquantized or codes are already
+    /// the best representation.
+    pub(crate) fn rerank(
+        self,
+        query: &[f32],
+        mut found: Vec<Scored>,
+        k: usize,
+        stats: &mut SearchStats,
+    ) -> Vec<Scored> {
+        let quant = match self.quant {
+            Some(q) if q.spec.keep_f32 || q.rerank.is_some() => q,
+            _ => {
+                found.truncate(k);
+                return found;
+            }
+        };
+        let slots: Vec<u32> = found.iter().map(|&(_, s)| s).collect();
+        let mut dists: Vec<f32> = Vec::new();
+        if quant.spec.keep_f32 {
+            let pq = PreparedQuery::new(self.metric, query);
+            pq.distance_slots(self.vectors, self.dim, self.norms, &slots, &mut dists);
+        } else {
+            let r = quant.rerank.as_ref().expect("checked above");
+            let qq = QuantQuery::new(&r.codec, self.metric, query);
+            qq.score_slots(&r.codes, &r.recon_norms, &slots, &mut dists);
+        }
+        stats.distance_computations += slots.len() as u64;
+        stats.reranked += slots.len() as u64;
+        let mut rescored: Vec<Scored> = slots.iter().zip(&dists).map(|(&s, &d)| (d, s)).collect();
+        rescored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        rescored.truncate(k);
+        rescored
+    }
 }
 
 /// Reusable per-search scratch: epoch-stamped visited marks plus the
@@ -338,10 +462,10 @@ pub(crate) struct SearchScratch {
     marks: Vec<u32>,
     batch: Vec<u32>,
     dists: Vec<f32>,
-    /// Repair-path staging (`update_in_place`/`shrink_links`): the moved
-    /// node's old neighborhood, the 2-hop candidate pool / list copy, and
-    /// the scored pairs — pooled here so the graph-repair loops reuse one
-    /// warmed allocation instead of cloning per neighbor per level.
+    /// Repair-path staging (`update_in_place`/`prune`): the moved node's
+    /// old neighborhood, the 2-hop candidate pool, and the scored pairs —
+    /// pooled here so the graph-repair loops reuse one warmed allocation
+    /// instead of cloning per neighbor per level.
     nbrs: Vec<u32>,
     pool: Vec<u32>,
     scored: Vec<Scored>,
@@ -413,6 +537,74 @@ impl Clone for ScratchPool {
     fn clone(&self) -> Self {
         ScratchPool::default()
     }
+}
+
+/// Neighbour access for the search loops, over the three adjacency forms:
+/// the compiled CSR (the searched form), the mutable forest (the build
+/// form), and the forest behind per-node locks (parallel build).
+trait Adjacency {
+    /// Whether the loops issue software prefetches for upcoming candidates'
+    /// vector/code and adjacency rows (the compiled form only).
+    const PREFETCH: bool;
+
+    /// `slot`'s neighbor list on `lvl`: borrowed where the form allows it,
+    /// copied into `buf` where it must not be held (a locked list is copied
+    /// out under its lock and scored lock-free).
+    fn neighbors<'a>(&'a self, slot: u32, lvl: u8, buf: &'a mut Vec<u32>) -> &'a [u32];
+
+    /// Prefetch the head of `slot`'s level-0 adjacency row.
+    fn prefetch_l0_row(&self, _k: &Kernels, _slot: u32) {}
+}
+
+impl Adjacency for PackedGraph {
+    const PREFETCH: bool = true;
+
+    #[inline]
+    fn neighbors<'a>(&'a self, slot: u32, lvl: u8, _buf: &'a mut Vec<u32>) -> &'a [u32] {
+        PackedGraph::neighbors(self, slot, lvl)
+    }
+
+    #[inline]
+    fn prefetch_l0_row(&self, k: &Kernels, slot: u32) {
+        PackedGraph::prefetch_l0_row(self, k, slot);
+    }
+}
+
+impl Adjacency for [Vec<Vec<u32>>] {
+    const PREFETCH: bool = false;
+
+    #[inline]
+    fn neighbors<'a>(&'a self, slot: u32, lvl: u8, _buf: &'a mut Vec<u32>) -> &'a [u32] {
+        &self[slot as usize][lvl as usize]
+    }
+}
+
+impl Adjacency for [Mutex<Vec<Vec<u32>>>] {
+    const PREFETCH: bool = false;
+
+    fn neighbors<'a>(&'a self, slot: u32, lvl: u8, buf: &'a mut Vec<u32>) -> &'a [u32] {
+        let guard = lock(&self[slot as usize]);
+        buf.clear();
+        if let Some(l) = guard.get(lvl as usize) {
+            buf.extend_from_slice(l);
+        }
+        buf
+    }
+}
+
+/// Lock one node's adjacency in the parallel build, ignoring poisoning (a
+/// panicking link task is resumed on the caller by the pool).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Which scored candidates a beam admits into its result set.
+#[derive(Clone, Copy)]
+enum Accept<'f> {
+    /// Every reached slot, tombstones included (construction).
+    All,
+    /// Live slots whose local id the filter accepts (search).
+    Valid(Filter<'f>),
 }
 
 /// Hierarchical Navigable Small World index over one embedding segment.
@@ -577,39 +769,33 @@ impl HnswIndex {
     }
 
     /// The adjacency representation currently resident: `Pointer` until
-    /// [`Self::compile_layout`] freezes the graph, then `Packed` or
-    /// `PackedPrefetch` until the next mutation thaws it.
+    /// [`Self::compile_layout`] freezes the graph, then `PackedPrefetch`
+    /// until the next mutation thaws it.
     #[must_use]
     pub fn layout(&self) -> GraphLayout {
         match &self.packed {
             None => GraphLayout::Pointer,
-            Some(p) if p.prefetch => GraphLayout::PackedPrefetch,
-            Some(_) => GraphLayout::Packed,
+            Some(_) => GraphLayout::PackedPrefetch,
         }
     }
 
-    /// Compile the frozen, cache-conscious search layout: renumber slots in
+    /// Compile the frozen, cache-conscious search form: renumber slots in
     /// BFS order from the entry point (applied to every slot-indexed
     /// structure — vectors, norms, keys, levels, tombstones, links, entry,
     /// quantized code slabs; the live mask is keyed by local id and is
     /// unaffected), then freeze the adjacency into CSR slabs
-    /// ([`crate::packed`]). `Pointer` thaws instead. Returns true iff the
-    /// index is compiled afterwards; empty indexes stay uncompiled.
+    /// ([`crate::packed`]) that the search loops read with software
+    /// prefetch. Returns true iff the index is compiled afterwards; empty
+    /// indexes stay uncompiled.
     ///
-    /// Search results are bit-identical across layouts (modulo the slot
-    /// renumbering, which is invisible through the key-based API).
-    /// Mutations transparently thaw back to the pointer form; the
+    /// Search results are bit-identical to the uncompiled forest (modulo
+    /// the slot renumbering, which is invisible through the key-based API).
+    /// Mutations transparently thaw back to the forest; the
     /// vacuum/index-merge policy recompiles, so correctness never depends
     /// on layout freshness.
-    pub fn compile_layout(&mut self, layout: GraphLayout) -> bool {
-        if !layout.is_packed() {
-            self.ensure_mutable();
-            return false;
-        }
-        if let Some(p) = &mut self.packed {
-            // Already frozen — mutations thaw, so the graph cannot have
-            // changed since compilation; only the prefetch policy can.
-            p.prefetch = layout.prefetch_enabled();
+    pub fn compile_layout(&mut self) -> bool {
+        if self.packed.is_some() {
+            // Mutations thaw, so a frozen graph cannot have changed.
             return true;
         }
         let Some((entry, _)) = self.entry else {
@@ -619,9 +805,7 @@ impl HnswIndex {
         if !packed::is_identity(&perm) {
             self.apply_permutation(&perm);
         }
-        let pg = PackedGraph::build(&self.links, layout.prefetch_enabled());
-        self.links = Vec::new();
-        self.packed = Some(pg);
+        self.compile_from_stored();
         true
     }
 
@@ -639,13 +823,11 @@ impl HnswIndex {
     /// load). The stored slot order *is* the compiled order, so no
     /// re-permutation runs — which keeps `to_bytes(from_bytes(b)) == b`
     /// for compiled snapshots.
-    pub(crate) fn compile_from_stored(&mut self, prefetch: bool) {
+    pub(crate) fn compile_from_stored(&mut self) {
         if self.keys.is_empty() {
             return;
         }
-        let pg = PackedGraph::build(&self.links, prefetch);
-        self.links = Vec::new();
-        self.packed = Some(pg);
+        self.packed = Some(PackedGraph::build(&std::mem::take(&mut self.links)));
     }
 
     /// Compiled-form accessor (snapshot writer).
@@ -786,14 +968,15 @@ impl HnswIndex {
         out
     }
 
-    /// Scorer for an external query vector: prepared f32 query, or a
-    /// prepared quantized plan when a quantized tier is attached (traversal
-    /// always scores against codes in that case, even when the f32 arena is
-    /// retained for reranking).
-    fn scorer<'q>(&self, query: &'q [f32]) -> Scorer<'q> {
-        match &self.quant {
-            Some(q) => Scorer::Quant(QuantQuery::new(&q.codec, self.cfg.metric, query)),
-            None => Scorer::F32(PreparedQuery::new(self.cfg.metric, query)),
+    /// The scored payload (f32 arena, norm cache, quantized tier).
+    #[inline]
+    fn payload(&self) -> Payload<'_> {
+        Payload {
+            dim: self.cfg.dim,
+            metric: self.cfg.metric,
+            vectors: &self.vectors,
+            norms: &self.norms,
+            quant: self.quant.as_ref(),
         }
     }
 
@@ -812,56 +995,6 @@ impl HnswIndex {
                 self.vec_of(slot),
                 self.norms[slot as usize],
             )),
-        }
-    }
-
-    /// Distance from a scorer to one stored slot.
-    fn score_slot(&self, sc: &Scorer<'_>, slot: u32) -> f32 {
-        match sc {
-            Scorer::F32(pq) => pq.distance_cached(self.vec_of(slot), self.norms[slot as usize]),
-            Scorer::Quant(qq) => {
-                let q = self.quant.as_ref().expect("quant scorer without codes");
-                let cl = qq.code_len();
-                let s = slot as usize;
-                let rn = q.recon_norms.get(s).copied().unwrap_or(0.0);
-                qq.score(&q.codes[s * cl..(s + 1) * cl], rn)
-            }
-        }
-    }
-
-    /// Batch-score `slots` against a scorer; distances land in `out` (one
-    /// entry per slot, same order).
-    fn score_slots(&self, sc: &Scorer<'_>, slots: &[u32], out: &mut Vec<f32>) {
-        self.score_slots_pf(sc, slots, out, false);
-    }
-
-    /// [`Self::score_slots`] with an opt-in interleaved prefetch schedule:
-    /// while one slot's row is scored, the head of the next slot's row is
-    /// requested. Only the search loops of a `packed+prefetch` index pass
-    /// `true`; the admission logic sees identical distances either way.
-    fn score_slots_pf(&self, sc: &Scorer<'_>, slots: &[u32], out: &mut Vec<f32>, prefetch: bool) {
-        match sc {
-            Scorer::F32(pq) if prefetch => {
-                pq.distance_slots_prefetch(&self.vectors, self.cfg.dim, &self.norms, slots, out);
-            }
-            Scorer::F32(pq) => {
-                pq.distance_slots(&self.vectors, self.cfg.dim, &self.norms, slots, out);
-            }
-            Scorer::Quant(qq) => {
-                let q = self.quant.as_ref().expect("quant scorer without codes");
-                qq.score_slots(&q.codes, &q.recon_norms, slots, out);
-            }
-        }
-    }
-
-    /// The neighbor list of `slot` on `lvl`, from whichever adjacency form
-    /// is resident: one offset lookup into the CSR slabs when compiled,
-    /// the pointer forest otherwise.
-    #[inline]
-    fn neighbors(&self, slot: u32, lvl: u8) -> &[u32] {
-        match &self.packed {
-            Some(p) => p.neighbors(slot, lvl),
-            None => &self.links[slot as usize][lvl as usize],
         }
     }
 
@@ -960,13 +1093,31 @@ impl HnswIndex {
             }
         }
 
+        let slot = self.append_slot(key, vector);
+        let level = self.levels[slot as usize];
+        let Some((entry, top)) = self.entry else {
+            self.entry = Some((slot, level));
+            return Ok(());
+        };
+        let mut scratch = self.scratch.take();
+        self.link_node(slot, vector, (entry, top), &mut scratch);
+        self.scratch.put(scratch);
+        if level > top {
+            self.entry = Some((slot, level));
+        }
+        Ok(())
+    }
+
+    /// Append a fresh slot for `key`: vector payload, key, level, tombstone
+    /// flag, empty per-level lists, key map and live mask. Returns the
+    /// slot; linking it into the graph is the caller's job.
+    fn append_slot(&mut self, key: VertexId, vector: &[f32]) -> u32 {
         let slot = self.keys.len() as u32;
         let level = self.level_for_key(key);
-        let metric = self.cfg.metric;
         // Quantized tiers encode with the frozen codec; the f32 arena is
         // maintained only when the spec retains it.
         if let Some(q) = &mut self.quant {
-            q.push(metric, vector);
+            q.push(self.cfg.metric, vector);
         }
         if self.quant.as_ref().is_none_or(|q| q.spec.keep_f32) {
             self.vectors.extend_from_slice(vector);
@@ -975,65 +1126,62 @@ impl HnswIndex {
         self.keys.push(key);
         self.levels.push(level);
         self.deleted.push(false);
-        self.links
-            .push((0..=level).map(|_| Vec::new()).collect::<Vec<_>>());
+        self.links.push(vec![Vec::new(); usize::from(level) + 1]);
         self.slot_of.insert(key, slot);
         let local = key.local().0 as usize;
         self.live_mask.grow(local + 1);
         self.live_mask.set(local, true);
+        slot
+    }
 
-        let Some((mut cur, top)) = self.entry else {
-            self.entry = Some((slot, level));
-            return Ok(());
-        };
-
-        // The new node's vector plays the query role; the f32 path reuses
-        // its freshly cached norm (one norm pass for the whole insert).
-        let sc = match &self.quant {
-            Some(q) => Scorer::Quant(QuantQuery::new(&q.codec, metric, vector)),
-            None => Scorer::F32(PreparedQuery::with_norm(
-                metric,
-                vector,
-                self.norms[slot as usize],
-            )),
-        };
-        // Greedy descent through layers above the new node's level.
+    /// Link `slot` (payload already stored) into the forest: greedy descent
+    /// from `entry` through the layers above its level, then per layer a
+    /// beam, diversity selection of its own list, and back-links shrunk to
+    /// the layer's degree bound. Shared by fresh inserts and in-place
+    /// updates; a fresh node is unreachable, so its beams never return it
+    /// and no back-link exists yet.
+    fn link_node(
+        &mut self,
+        slot: u32,
+        vector: &[f32],
+        (entry, top): (u32, u8),
+        scratch: &mut SearchScratch,
+    ) {
+        let level = self.levels[slot as usize];
+        let sc = self.payload().scorer(vector);
         let mut stats = SearchStats::default();
-        let mut scratch = self.scratch.take();
+        let mut cur = entry;
         for lvl in ((level + 1)..=top).rev() {
-            cur = self.greedy_closest(&sc, cur, lvl, &mut stats, &mut scratch);
+            cur = self.greedy_closest(self.links.as_slice(), &sc, cur, lvl, &mut stats, scratch);
         }
-
-        // Connect on each layer from min(level, top) down to 0.
         let mut entry_points = vec![cur];
         for lvl in (0..=level.min(top)).rev() {
-            let found = self.search_layer(
+            let mut found = self.beam(
+                self.links.as_slice(),
                 &sc,
                 &entry_points,
                 self.cfg.ef_construction,
                 lvl,
+                Accept::All,
                 &mut stats,
-                &mut scratch,
+                scratch,
             );
+            found.retain(|&(_, s)| s != slot);
             let max_deg = if lvl == 0 { self.cfg.m0 } else { self.cfg.m };
             let chosen =
                 select_neighbors(&found, self.cfg.m, true, |a, b| self.pair_distance(a, b));
+            self.links[slot as usize][lvl as usize] = chosen.clone();
             for &nb in &chosen {
-                self.links[slot as usize][lvl as usize].push(nb);
-                self.links[nb as usize][lvl as usize].push(slot);
-                self.shrink_links(nb, lvl, max_deg, &mut scratch);
+                if !self.links[nb as usize][lvl as usize].contains(&slot) {
+                    self.links[nb as usize][lvl as usize].push(slot);
+                    self.shrink_links(nb, lvl, max_deg, scratch);
+                }
             }
             entry_points = found.iter().map(|&(_, s)| s).collect();
             if entry_points.is_empty() {
                 entry_points = vec![cur];
             }
         }
-        self.scratch.put(scratch);
-
-        if level > top {
-            self.entry = Some((slot, level));
-        }
-        Ok(())
     }
 
     /// Replace a live node's vector and repair the surrounding graph:
@@ -1044,9 +1192,8 @@ impl HnswIndex {
     /// updating loses to rebuilding beyond a ~20% update ratio (Fig. 11).
     fn update_in_place(&mut self, slot: u32, vector: &[f32]) {
         let d = self.cfg.dim;
-        let metric = self.cfg.metric;
         if let Some(q) = &mut self.quant {
-            q.reencode(metric, slot as usize, vector);
+            q.reencode(self.cfg.metric, slot as usize, vector);
         }
         if !self.vectors.is_empty() {
             self.vectors[slot as usize * d..(slot as usize + 1) * d].copy_from_slice(vector);
@@ -1062,10 +1209,8 @@ impl HnswIndex {
         // scratch buffers — the per-neighbor-per-level `clone()`s this loop
         // used to allocate dominated the repair path's allocator traffic.
         let mut scratch = self.scratch.take();
-        let mut dists: Vec<f32> = std::mem::take(&mut scratch.dists);
         let mut old_neighbors: Vec<u32> = std::mem::take(&mut scratch.nbrs);
         let mut pool: Vec<u32> = std::mem::take(&mut scratch.pool);
-        let mut scored: Vec<Scored> = std::mem::take(&mut scratch.scored);
         for lvl in 0..=level.min(top) {
             old_neighbors.clear();
             old_neighbors.extend_from_slice(&self.links[slot as usize][lvl as usize]);
@@ -1082,62 +1227,15 @@ impl HnswIndex {
                 pool.sort_unstable();
                 pool.dedup();
                 pool.retain(|&c| c != nb);
-                // Batch-score the whole pool against nb in one kernel call.
-                let sc_nb = self.slot_scorer(nb);
-                self.score_slots(&sc_nb, &pool, &mut dists);
-                scored.clear();
-                scored.extend(pool.iter().zip(&dists).map(|(&c, &dc)| (dc, c)));
-                scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-                let kept =
-                    select_neighbors(&scored, max_deg, true, |a, b| self.pair_distance(a, b));
-                self.links[nb as usize][lvl as usize] = kept;
+                self.links[nb as usize][lvl as usize] =
+                    self.prune(nb, &pool, max_deg, &mut scratch);
             }
         }
-        scratch.dists = dists;
         scratch.nbrs = old_neighbors;
         scratch.pool = pool;
-        scratch.scored = scored;
 
         // Phase 2: re-link the moved node like a fresh insert.
-        let sc = match &self.quant {
-            Some(q) => Scorer::Quant(QuantQuery::new(&q.codec, metric, vector)),
-            None => Scorer::F32(PreparedQuery::with_norm(
-                metric,
-                vector,
-                self.norms[slot as usize],
-            )),
-        };
-        let mut stats = SearchStats::default();
-        let mut cur = entry;
-        for lvl in ((level + 1)..=top).rev() {
-            cur = self.greedy_closest(&sc, cur, lvl, &mut stats, &mut scratch);
-        }
-        let mut entry_points = vec![cur];
-        for lvl in (0..=level.min(top)).rev() {
-            let mut found = self.search_layer(
-                &sc,
-                &entry_points,
-                self.cfg.ef_construction,
-                lvl,
-                &mut stats,
-                &mut scratch,
-            );
-            found.retain(|&(_, s)| s != slot);
-            let max_deg = if lvl == 0 { self.cfg.m0 } else { self.cfg.m };
-            let chosen =
-                select_neighbors(&found, self.cfg.m, true, |a, b| self.pair_distance(a, b));
-            self.links[slot as usize][lvl as usize] = chosen.clone();
-            for &nb in &chosen {
-                if !self.links[nb as usize][lvl as usize].contains(&slot) {
-                    self.links[nb as usize][lvl as usize].push(slot);
-                    self.shrink_links(nb, lvl, max_deg, &mut scratch);
-                }
-            }
-            entry_points = found.iter().map(|&(_, s)| s).collect();
-            if entry_points.is_empty() {
-                entry_points = vec![cur];
-            }
-        }
+        self.link_node(slot, vector, (entry, top), &mut scratch);
         self.scratch.put(scratch);
     }
 
@@ -1160,28 +1258,36 @@ impl HnswIndex {
     }
 
     /// Prune a node's neighbor list back to `max_deg` using the diversity
-    /// heuristic. Distance and scored buffers stage through the pooled
-    /// scratch (no per-call allocations).
+    /// heuristic.
     fn shrink_links(&mut self, node: u32, lvl: u8, max_deg: usize, scratch: &mut SearchScratch) {
-        if self.links[node as usize][lvl as usize].len() <= max_deg {
-            return;
+        let list = &self.links[node as usize][lvl as usize];
+        if list.len() > max_deg {
+            self.links[node as usize][lvl as usize] = self.prune(node, list, max_deg, scratch);
         }
-        // Batch-score the full neighbor list against the node in one call.
-        let mut dists = std::mem::take(&mut scratch.dists);
-        let mut list = std::mem::take(&mut scratch.pool);
-        let mut scored = std::mem::take(&mut scratch.scored);
-        list.clear();
-        list.extend_from_slice(&self.links[node as usize][lvl as usize]);
+    }
+
+    /// The one neighbour-list prune: score `cands` against `node`, sort by
+    /// distance, and keep at most `max_deg` through the diversity
+    /// heuristic. Distances and scored pairs stage through the pooled
+    /// scratch buffers (no per-call allocations besides the kept list).
+    fn prune(
+        &self,
+        node: u32,
+        cands: &[u32],
+        max_deg: usize,
+        scratch: &mut SearchScratch,
+    ) -> Vec<u32> {
         let sc = self.slot_scorer(node);
-        self.score_slots(&sc, &list, &mut dists);
-        scored.clear();
-        scored.extend(list.iter().zip(&dists).map(|(&nb, &dn)| (dn, nb)));
-        scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        let kept = select_neighbors(&scored, max_deg, true, |a, b| self.pair_distance(a, b));
-        self.links[node as usize][lvl as usize] = kept;
-        scratch.dists = dists;
-        scratch.pool = list;
-        scratch.scored = scored;
+        self.payload()
+            .score_slots(&sc, cands, &mut scratch.dists, false);
+        scratch.scored.clear();
+        scratch
+            .scored
+            .extend(cands.iter().zip(&scratch.dists).map(|(&c, &d)| (d, c)));
+        scratch.scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        select_neighbors(&scratch.scored, max_deg, true, |a, b| {
+            self.pair_distance(a, b)
+        })
     }
 
     /// Bulk insert with optional parallel graph construction.
@@ -1197,35 +1303,51 @@ impl HnswIndex {
     /// (hnswlib-style construction races), preserving recall parity rather
     /// than byte identity.
     pub fn insert_batch(&mut self, items: &[(VertexId, Vec<f32>)], threads: usize) -> TvResult<()> {
-        self.ensure_mutable();
-        if threads <= 1 || items.len() <= 1 {
-            for (key, vector) in items {
-                self.insert(*key, vector)?;
+        let ops: Vec<(VertexId, Option<&[f32]>)> = items
+            .iter()
+            .map(|(k, v)| (*k, Some(v.as_slice())))
+            .collect();
+        self.apply_ops(&ops, threads).map(|_| ())
+    }
+
+    /// Apply upserts (`Some(vector)`) and deletes (`None`) in order; returns
+    /// how many were applied. `threads <= 1` (or one op) is the plain
+    /// sequential loop. Otherwise every vector is dimension-checked before
+    /// anything changes, ops on keys that repeat in the batch or are
+    /// already live apply sequentially in order, and the remaining fresh
+    /// appends link concurrently.
+    fn apply_ops(&mut self, ops: &[(VertexId, Option<&[f32]>)], threads: usize) -> TvResult<usize> {
+        let parallel = threads > 1 && ops.len() > 1;
+        let mut count: HashMap<VertexId, usize> = HashMap::new();
+        if parallel {
+            self.ensure_mutable();
+            count.reserve(ops.len());
+            for &(key, vector) in ops {
+                if let Some(v) = vector.filter(|v| v.len() != self.cfg.dim) {
+                    return Err(TvError::DimensionMismatch {
+                        expected: self.cfg.dim,
+                        got: v.len(),
+                    });
+                }
+                *count.entry(key).or_insert(0) += 1;
             }
-            return Ok(());
         }
-        for (_, vector) in items {
-            if vector.len() != self.cfg.dim {
-                return Err(TvError::DimensionMismatch {
-                    expected: self.cfg.dim,
-                    got: vector.len(),
-                });
+        let mut fresh: Vec<(VertexId, &[f32])> = Vec::new();
+        for &(key, vector) in ops {
+            match vector {
+                Some(v) if parallel && count[&key] == 1 && !self.slot_of.contains_key(&key) => {
+                    fresh.push((key, v));
+                }
+                Some(v) => self.insert(key, v)?,
+                None => {
+                    self.remove(key);
+                }
             }
         }
-        let mut count: HashMap<VertexId, usize> = HashMap::with_capacity(items.len());
-        for (key, _) in items {
-            *count.entry(*key).or_insert(0) += 1;
+        if parallel {
+            self.parallel_insert_fresh(&fresh, threads);
         }
-        let mut fresh: Vec<(VertexId, &[f32])> = Vec::with_capacity(items.len());
-        for (key, vector) in items {
-            if count[key] == 1 && !self.slot_of.contains_key(key) {
-                fresh.push((*key, vector.as_slice()));
-            } else {
-                self.insert(*key, vector)?;
-            }
-        }
-        self.parallel_insert_fresh(&fresh, threads);
-        Ok(())
+        Ok(ops.len())
     }
 
     /// Append `items` (all fresh keys, dimension-checked by the caller) and
@@ -1237,28 +1359,9 @@ impl HnswIndex {
     /// reads only the (now frozen) arena/codes, and neighbor lists are
     /// touched one lock at a time, so no lock ordering issues arise.
     fn parallel_insert_fresh(&mut self, items: &[(VertexId, &[f32])], threads: usize) {
-        use std::sync::{Mutex, PoisonError, RwLock};
         let first = self.keys.len() as u32;
-        let metric = self.cfg.metric;
         for (key, vector) in items {
-            let slot = self.keys.len() as u32;
-            let level = self.level_for_key(*key);
-            if let Some(q) = &mut self.quant {
-                q.push(metric, vector);
-            }
-            if self.quant.as_ref().is_none_or(|q| q.spec.keep_f32) {
-                self.vectors.extend_from_slice(vector);
-                self.norms.push(kernels::active().norm_sq(vector).sqrt());
-            }
-            self.keys.push(*key);
-            self.levels.push(level);
-            self.deleted.push(false);
-            self.links
-                .push((0..=level).map(|_| Vec::new()).collect::<Vec<_>>());
-            self.slot_of.insert(*key, slot);
-            let local = key.local().0 as usize;
-            self.live_mask.grow(local + 1);
-            self.live_mask.set(local, true);
+            self.append_slot(*key, vector);
         }
         let mut work: Vec<u32> = (first..self.keys.len() as u32).collect();
         if self.entry.is_none() {
@@ -1305,26 +1408,26 @@ impl HnswIndex {
     fn link_one_locked(
         &self,
         slot: u32,
-        links: &[std::sync::Mutex<Vec<Vec<u32>>>],
-        entry: &std::sync::RwLock<(u32, u8)>,
+        links: &[Mutex<Vec<Vec<u32>>>],
+        entry: &RwLock<(u32, u8)>,
     ) {
-        use std::sync::PoisonError;
         let level = self.levels[slot as usize];
         let sc = self.slot_scorer(slot);
         let mut scratch = self.scratch.take();
         let mut stats = SearchStats::default();
         let (mut cur, top) = *entry.read().unwrap_or_else(PoisonError::into_inner);
         for lvl in ((level + 1)..=top).rev() {
-            cur = self.greedy_closest_locked(&sc, cur, lvl, links, &mut scratch);
+            cur = self.greedy_closest(links, &sc, cur, lvl, &mut stats, &mut scratch);
         }
         let mut entry_points = vec![cur];
         for lvl in (0..=level.min(top)).rev() {
-            let mut found = self.search_layer_locked(
+            let mut found = self.beam(
+                links,
                 &sc,
                 &entry_points,
                 self.cfg.ef_construction,
                 lvl,
-                links,
+                Accept::All,
                 &mut stats,
                 &mut scratch,
             );
@@ -1334,31 +1437,9 @@ impl HnswIndex {
             let max_deg = if lvl == 0 { self.cfg.m0 } else { self.cfg.m };
             let chosen =
                 select_neighbors(&found, self.cfg.m, true, |a, b| self.pair_distance(a, b));
-            {
-                let mut own = links[slot as usize]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                own[lvl as usize] = chosen.clone();
-            }
+            lock(&links[slot as usize])[lvl as usize] = chosen.clone();
             for &nb in &chosen {
-                let mut guard = links[nb as usize]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let list = &mut guard[lvl as usize];
-                if !list.contains(&slot) {
-                    list.push(slot);
-                    if list.len() > max_deg {
-                        let mut dists: Vec<f32> = Vec::new();
-                        let sc_nb = self.slot_scorer(nb);
-                        self.score_slots(&sc_nb, list, &mut dists);
-                        let mut scored: Vec<Scored> =
-                            list.iter().zip(&dists).map(|(&c, &dc)| (dc, c)).collect();
-                        scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-                        *list = select_neighbors(&scored, max_deg, true, |a, b| {
-                            self.pair_distance(a, b)
-                        });
-                    }
-                }
+                self.back_link_locked(nb, slot, lvl, max_deg, links, &mut scratch);
             }
             entry_points = found.iter().map(|&(_, s)| s).collect();
             if entry_points.is_empty() {
@@ -1381,190 +1462,67 @@ impl HnswIndex {
     fn refine_one_locked(
         &self,
         slot: u32,
-        links: &[std::sync::Mutex<Vec<Vec<u32>>>],
-        entry: &std::sync::RwLock<(u32, u8)>,
+        links: &[Mutex<Vec<Vec<u32>>>],
+        entry: &RwLock<(u32, u8)>,
     ) {
-        use std::sync::PoisonError;
         let sc = self.slot_scorer(slot);
         let mut scratch = self.scratch.take();
         let mut stats = SearchStats::default();
-        let (mut cur, top) = *entry.read().unwrap_or_else(PoisonError::into_inner);
-        for lvl in (1..=top).rev() {
-            cur = self.greedy_closest_locked(&sc, cur, lvl, links, &mut scratch);
-        }
-        let mut found = self.search_layer_locked(
-            &sc,
-            &[cur],
-            self.cfg.ef_construction,
-            0,
+        let (cur, top) = *entry.read().unwrap_or_else(PoisonError::into_inner);
+        let mut found = self.descend_and_beam(
             links,
+            &sc,
+            (cur, top),
+            self.cfg.ef_construction,
+            Accept::All,
             &mut stats,
             &mut scratch,
         );
-        self.scratch.put(scratch);
         found.retain(|&(_, s)| s != slot);
-        if found.is_empty() {
-            return;
-        }
-        let own: Vec<u32> = links[slot as usize]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)[0]
-            .clone();
-        let mut dists: Vec<f32> = Vec::new();
-        self.score_slots(&sc, &own, &mut dists);
-        for (&nb, &nd) in own.iter().zip(&dists) {
-            if !found.iter().any(|&(_, s)| s == nb) {
-                found.push((nd, nb));
-            }
-        }
-        found.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let chosen = select_neighbors(&found, self.cfg.m, true, |a, b| self.pair_distance(a, b));
-        let added: Vec<u32> = chosen
-            .iter()
-            .copied()
-            .filter(|nb| !own.contains(nb))
-            .collect();
-        {
-            let mut guard = links[slot as usize]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            guard[0] = chosen;
-        }
-        let max_deg = self.cfg.m0;
-        for nb in added {
-            let mut guard = links[nb as usize]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let list = &mut guard[0];
-            if !list.contains(&slot) {
-                list.push(slot);
-                if list.len() > max_deg {
-                    let mut dists: Vec<f32> = Vec::new();
-                    let sc_nb = self.slot_scorer(nb);
-                    self.score_slots(&sc_nb, list, &mut dists);
-                    let mut scored: Vec<Scored> =
-                        list.iter().zip(&dists).map(|(&c, &dc)| (dc, c)).collect();
-                    scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-                    *list =
-                        select_neighbors(&scored, max_deg, true, |a, b| self.pair_distance(a, b));
+        if !found.is_empty() {
+            let own: Vec<u32> = lock(&links[slot as usize])[0].clone();
+            self.payload()
+                .score_slots(&sc, &own, &mut scratch.dists, false);
+            for (&nb, &nd) in own.iter().zip(&scratch.dists) {
+                if !found.iter().any(|&(_, s)| s == nb) {
+                    found.push((nd, nb));
                 }
             }
+            found.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let chosen =
+                select_neighbors(&found, self.cfg.m, true, |a, b| self.pair_distance(a, b));
+            let added: Vec<u32> = chosen
+                .iter()
+                .copied()
+                .filter(|nb| !own.contains(nb))
+                .collect();
+            lock(&links[slot as usize])[0] = chosen;
+            for nb in added {
+                self.back_link_locked(nb, slot, 0, self.cfg.m0, links, &mut scratch);
+            }
         }
+        self.scratch.put(scratch);
     }
 
-    /// [`HnswIndex::greedy_closest`] against per-node-locked adjacency:
-    /// each hop copies the current node's list out under its lock (one lock
-    /// held at a time), then scores the copy lock-free.
-    fn greedy_closest_locked(
+    /// Add `slot` to `nb`'s list on `lvl` under `nb`'s lock, pruning the
+    /// list back to `max_deg` if it overflows.
+    fn back_link_locked(
         &self,
-        sc: &Scorer<'_>,
-        start: u32,
+        nb: u32,
+        slot: u32,
         lvl: u8,
-        links: &[std::sync::Mutex<Vec<Vec<u32>>>],
+        max_deg: usize,
+        links: &[Mutex<Vec<Vec<u32>>>],
         scratch: &mut SearchScratch,
-    ) -> u32 {
-        use std::sync::PoisonError;
-        let mut nbs: Vec<u32> = Vec::new();
-        let mut cur = start;
-        let mut cur_dist = self.score_slot(sc, cur);
-        loop {
-            {
-                let guard = links[cur as usize]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                nbs.clear();
-                if let Some(l) = guard.get(lvl as usize) {
-                    nbs.extend_from_slice(l);
-                }
-            }
-            self.score_slots(sc, &nbs, &mut scratch.dists);
-            let mut improved = false;
-            for (&nb, &nd) in nbs.iter().zip(&scratch.dists) {
-                if nd < cur_dist {
-                    cur = nb;
-                    cur_dist = nd;
-                    improved = true;
-                }
-            }
-            if !improved {
-                return cur;
+    ) {
+        let mut guard = lock(&links[nb as usize]);
+        let list = &mut guard[lvl as usize];
+        if !list.contains(&slot) {
+            list.push(slot);
+            if list.len() > max_deg {
+                *list = self.prune(nb, list, max_deg, scratch);
             }
         }
-    }
-
-    /// [`HnswIndex::search_layer`] against per-node-locked adjacency; same
-    /// beam/admission logic, neighbor lists copied out under their lock.
-    #[allow(clippy::too_many_arguments)]
-    fn search_layer_locked(
-        &self,
-        sc: &Scorer<'_>,
-        entries: &[u32],
-        ef: usize,
-        lvl: u8,
-        links: &[std::sync::Mutex<Vec<Vec<u32>>>],
-        stats: &mut SearchStats,
-        scratch: &mut SearchScratch,
-    ) -> Vec<Scored> {
-        use std::sync::PoisonError;
-        scratch.begin(self.keys.len());
-        let mut frontier: BinaryHeap<Reverse<(OrdF32, u32)>> = BinaryHeap::new();
-        let mut best: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
-        let mut nbs: Vec<u32> = Vec::new();
-
-        scratch.batch.clear();
-        for &e in entries {
-            if scratch.visit(e) {
-                scratch.batch.push(e);
-            }
-        }
-        self.score_slots(sc, &scratch.batch, &mut scratch.dists);
-        stats.distance_computations += scratch.batch.len() as u64;
-        for (&e, &de) in scratch.batch.iter().zip(&scratch.dists) {
-            frontier.push(Reverse((OrdF32(de), e)));
-            best.push((OrdF32(de), e));
-            if best.len() > ef {
-                best.pop();
-            }
-        }
-
-        while let Some(Reverse((OrdF32(d), node))) = frontier.pop() {
-            let bound = best.peek().map_or(f32::INFINITY, |&(OrdF32(b), _)| b);
-            if d > bound && best.len() >= ef {
-                break;
-            }
-            {
-                let guard = links[node as usize]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                nbs.clear();
-                if let Some(l) = guard.get(lvl as usize) {
-                    nbs.extend_from_slice(l);
-                }
-            }
-            scratch.batch.clear();
-            for &nb in &nbs {
-                if scratch.visit(nb) {
-                    scratch.batch.push(nb);
-                }
-            }
-            self.score_slots(sc, &scratch.batch, &mut scratch.dists);
-            stats.hops += scratch.batch.len() as u64;
-            stats.distance_computations += scratch.batch.len() as u64;
-            for (&nb, &nd) in scratch.batch.iter().zip(&scratch.dists) {
-                let bound = best.peek().map_or(f32::INFINITY, |&(OrdF32(b), _)| b);
-                if nd < bound || best.len() < ef {
-                    frontier.push(Reverse((OrdF32(nd), nb)));
-                    best.push((OrdF32(nd), nb));
-                    if best.len() > ef {
-                        best.pop();
-                    }
-                }
-            }
-        }
-
-        let mut out: Vec<Scored> = best.into_iter().map(|(OrdF32(d), s)| (d, s)).collect();
-        out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        out
     }
 
     /// [`VectorIndex::update_items`] with optional parallel linking of the
@@ -1577,74 +1535,45 @@ impl HnswIndex {
         records: &[DeltaRecord],
         threads: usize,
     ) -> TvResult<usize> {
-        self.ensure_mutable();
-        if threads <= 1 || records.len() <= 1 {
-            return self.update_items(records);
-        }
-        for rec in records {
-            if rec.action == DeltaAction::Upsert && rec.vector.len() != self.cfg.dim {
-                return Err(TvError::DimensionMismatch {
-                    expected: self.cfg.dim,
-                    got: rec.vector.len(),
-                });
-            }
-        }
-        let mut count: HashMap<VertexId, usize> = HashMap::with_capacity(records.len());
-        for rec in records {
-            *count.entry(rec.id).or_insert(0) += 1;
-        }
-        let mut fresh: Vec<(VertexId, &[f32])> = Vec::new();
-        let mut applied = 0;
-        for rec in records {
-            let is_fresh = rec.action == DeltaAction::Upsert
-                && count[&rec.id] == 1
-                && !self.slot_of.contains_key(&rec.id);
-            if is_fresh {
-                fresh.push((rec.id, rec.vector.as_slice()));
-                continue;
-            }
-            match rec.action {
-                DeltaAction::Upsert => {
-                    self.insert(rec.id, &rec.vector)?;
-                    applied += 1;
-                }
-                DeltaAction::Delete => {
-                    self.remove(rec.id);
-                    applied += 1;
-                }
-            }
-        }
-        applied += fresh.len();
-        self.parallel_insert_fresh(&fresh, threads);
-        Ok(applied)
+        let ops: Vec<(VertexId, Option<&[f32]>)> = records
+            .iter()
+            .map(|r| {
+                let upsert = r.action == DeltaAction::Upsert;
+                (r.id, upsert.then_some(r.vector.as_slice()))
+            })
+            .collect();
+        self.apply_ops(&ops, threads)
     }
 
     /// Greedy walk to the locally-closest node on one layer (the ef=1 upper-
     /// layer descent of the HNSW search). Each hop scores the node's whole
     /// neighbor list in one batched kernel call.
-    fn greedy_closest(
+    fn greedy_closest<A: Adjacency + ?Sized>(
         &self,
+        adj: &A,
         sc: &Scorer<'_>,
         start: u32,
         lvl: u8,
         stats: &mut SearchStats,
         scratch: &mut SearchScratch,
     ) -> u32 {
-        let prefetch = self.packed.as_ref().is_some_and(|p| p.prefetch);
         let k = kernels::active();
+        let p = self.payload();
+        let mut buf = Vec::new();
         let mut cur = start;
-        let mut cur_dist = self.score_slot(sc, cur);
+        p.score_slots(sc, &[cur], &mut scratch.dists, false);
+        let mut cur_dist = scratch.dists[0];
         stats.distance_computations += 1;
         loop {
-            let nbs = self.neighbors(cur, lvl);
-            if prefetch {
+            let nbs = adj.neighbors(cur, lvl, &mut buf);
+            if A::PREFETCH {
                 // Warm the hop's leading rows in full; the scorer's own
                 // schedule requests the rest two rows ahead of use.
                 for (i, &nb) in nbs.iter().enumerate() {
                     self.prefetch_slot(k, nb, i < 2);
                 }
             }
-            self.score_slots_pf(sc, nbs, &mut scratch.dists, prefetch);
+            p.score_slots(sc, nbs, &mut scratch.dists, A::PREFETCH);
             stats.distance_computations += nbs.len() as u64;
             stats.hops += nbs.len() as u64;
             let mut improved = false;
@@ -1661,136 +1590,70 @@ impl HnswIndex {
         }
     }
 
-    /// Beam search on one layer. Returns up to `ef` candidates sorted by
-    /// ascending distance. Deleted nodes participate in navigation and in
-    /// the returned candidate list (construction links through them), so
-    /// callers that produce user-visible results must filter afterwards.
-    fn search_layer(
+    /// Whether a scored candidate may enter the beam's result set. Filter
+    /// rejections and tombstone skips are counted separately: the planner's
+    /// selectivity feedback needs filter pressure, not tombstone density
+    /// (which `live_fraction` already tracks).
+    #[inline]
+    fn admits(&self, accept: Accept<'_>, slot: u32, stats: &mut SearchStats) -> bool {
+        let Accept::Valid(filter) = accept else {
+            return true;
+        };
+        if self.deleted[slot as usize] {
+            stats.deleted_skipped += 1;
+            return false;
+        }
+        if !filter.accepts(self.keys[slot as usize].local().0 as usize) {
+            stats.filtered_out += 1;
+            return false;
+        }
+        true
+    }
+
+    /// The beam search on one layer, over any adjacency form. Returns up to
+    /// `ef` candidates sorted by ascending distance. Every reached node is
+    /// navigated through, but only those `accept` admits enter the result
+    /// set — the filter-function semantics the paper passes to the index
+    /// so "a single call to the vector index returns the valid top-k"
+    /// (§5.1). Construction passes [`Accept::All`]: it links through
+    /// tombstones.
+    #[allow(clippy::too_many_arguments)]
+    fn beam<A: Adjacency + ?Sized>(
         &self,
+        adj: &A,
         sc: &Scorer<'_>,
         entries: &[u32],
         ef: usize,
         lvl: u8,
+        accept: Accept<'_>,
         stats: &mut SearchStats,
         scratch: &mut SearchScratch,
     ) -> Vec<Scored> {
         // Pooled visited set: one epoch bump instead of an O(n) alloc +
-        // memset per call. Visit order and admission logic are unchanged,
-        // so results are bit-identical to the fresh-alloc path.
+        // memset per call.
         scratch.begin(self.keys.len());
-        let pf_graph = self.packed.as_ref().filter(|p| p.prefetch);
         let kern = kernels::active();
-        // Min-heap of frontier candidates; max-heap (via NeighborHeap-like
-        // bound) of the best `ef` found.
+        let p = self.payload();
+        let mut buf = Vec::new();
+        // Min-heap of frontier candidates; max-heap of the best `ef` found.
         let mut frontier: BinaryHeap<Reverse<(OrdF32, u32)>> = BinaryHeap::new();
         let mut best: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
 
         // Batched scoring: the unvisited neighbors of one node, scored in a
         // single kernel call. Distances don't depend on heap state, so
-        // admission order — and therefore results — match the
-        // one-at-a-time loop exactly.
+        // admission order — and therefore results — match a one-at-a-time
+        // loop exactly.
         scratch.batch.clear();
         for &e in entries {
             if scratch.visit(e) {
                 scratch.batch.push(e);
             }
         }
-        self.score_slots_pf(sc, &scratch.batch, &mut scratch.dists, pf_graph.is_some());
+        p.score_slots(sc, &scratch.batch, &mut scratch.dists, A::PREFETCH);
         stats.distance_computations += scratch.batch.len() as u64;
         for (&e, &de) in scratch.batch.iter().zip(&scratch.dists) {
             frontier.push(Reverse((OrdF32(de), e)));
-            best.push((OrdF32(de), e));
-            if best.len() > ef {
-                best.pop();
-            }
-        }
-
-        while let Some(Reverse((OrdF32(d), node))) = frontier.pop() {
-            let bound = best.peek().map_or(f32::INFINITY, |&(OrdF32(b), _)| b);
-            if d > bound && best.len() >= ef {
-                break;
-            }
-            scratch.batch.clear();
-            for &nb in self.neighbors(node, lvl) {
-                if scratch.visit(nb) {
-                    // Warm the batch's first rows in full — the scorer hits
-                    // them before its own two-ahead schedule ramps up — and
-                    // later rows' heads, plus (on the base layer) the
-                    // candidate's adjacency row.
-                    if let Some(p) = pf_graph {
-                        self.prefetch_slot(kern, nb, scratch.batch.len() < 2);
-                        if lvl == 0 {
-                            p.prefetch_l0_row(kern, nb);
-                        }
-                    }
-                    scratch.batch.push(nb);
-                }
-            }
-            self.score_slots_pf(sc, &scratch.batch, &mut scratch.dists, pf_graph.is_some());
-            stats.hops += scratch.batch.len() as u64;
-            stats.distance_computations += scratch.batch.len() as u64;
-            for (&nb, &nd) in scratch.batch.iter().zip(&scratch.dists) {
-                let bound = best.peek().map_or(f32::INFINITY, |&(OrdF32(b), _)| b);
-                if nd < bound || best.len() < ef {
-                    frontier.push(Reverse((OrdF32(nd), nb)));
-                    best.push((OrdF32(nd), nb));
-                    if best.len() > ef {
-                        best.pop();
-                    }
-                }
-            }
-        }
-
-        let mut out: Vec<Scored> = best.into_iter().map(|(OrdF32(d), s)| (d, s)).collect();
-        out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        out
-    }
-
-    /// Layer-0 beam search that only admits *valid* (live + filter-passing)
-    /// points into the result set, while still navigating through invalid
-    /// ones — the filter-function semantics the paper passes to the index so
-    /// "a single call to the vector index returns the valid top-k" (§5.1).
-    fn search_layer0_filtered(
-        &self,
-        sc: &Scorer<'_>,
-        entries: &[u32],
-        ef: usize,
-        filter: Filter<'_>,
-        stats: &mut SearchStats,
-        scratch: &mut SearchScratch,
-    ) -> Vec<Scored> {
-        scratch.begin(self.keys.len());
-        let pf_graph = self.packed.as_ref().filter(|p| p.prefetch);
-        let kern = kernels::active();
-        let mut frontier: BinaryHeap<Reverse<(OrdF32, u32)>> = BinaryHeap::new();
-        let mut best: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
-
-        // Deleted slots and filter rejections are counted separately: the
-        // planner's selectivity feedback needs filter pressure, not
-        // tombstone density (which `live_fraction` already tracks).
-        let accepts = |slot: u32, stats: &mut SearchStats| -> bool {
-            if self.deleted[slot as usize] {
-                stats.deleted_skipped += 1;
-                return false;
-            }
-            if !filter.accepts(self.keys[slot as usize].local().0 as usize) {
-                stats.filtered_out += 1;
-                return false;
-            }
-            true
-        };
-
-        scratch.batch.clear();
-        for &e in entries {
-            if scratch.visit(e) {
-                scratch.batch.push(e);
-            }
-        }
-        self.score_slots_pf(sc, &scratch.batch, &mut scratch.dists, pf_graph.is_some());
-        stats.distance_computations += scratch.batch.len() as u64;
-        for (&e, &de) in scratch.batch.iter().zip(&scratch.dists) {
-            frontier.push(Reverse((OrdF32(de), e)));
-            if accepts(e, stats) {
+            if self.admits(accept, e, stats) {
                 best.push((OrdF32(de), e));
                 if best.len() > ef {
                     best.pop();
@@ -1804,23 +1667,29 @@ impl HnswIndex {
                 break;
             }
             scratch.batch.clear();
-            for &nb in self.neighbors(node, 0) {
+            for &nb in adj.neighbors(node, lvl, &mut buf) {
                 if scratch.visit(nb) {
-                    if let Some(p) = pf_graph {
+                    // Warm the batch's first rows in full — the scorer hits
+                    // them before its own two-ahead schedule ramps up — and
+                    // later rows' heads, plus (on the base layer) the
+                    // candidate's adjacency row.
+                    if A::PREFETCH {
                         self.prefetch_slot(kern, nb, scratch.batch.len() < 2);
-                        p.prefetch_l0_row(kern, nb);
+                        if lvl == 0 {
+                            adj.prefetch_l0_row(kern, nb);
+                        }
                     }
                     scratch.batch.push(nb);
                 }
             }
-            self.score_slots_pf(sc, &scratch.batch, &mut scratch.dists, pf_graph.is_some());
+            p.score_slots(sc, &scratch.batch, &mut scratch.dists, A::PREFETCH);
             stats.hops += scratch.batch.len() as u64;
             stats.distance_computations += scratch.batch.len() as u64;
             for (&nb, &nd) in scratch.batch.iter().zip(&scratch.dists) {
                 let bound = best.peek().map_or(f32::INFINITY, |&(OrdF32(b), _)| b);
                 if nd < bound || best.len() < ef {
                     frontier.push(Reverse((OrdF32(nd), nb)));
-                    if accepts(nb, stats) {
+                    if self.admits(accept, nb, stats) {
                         best.push((OrdF32(nd), nb));
                         if best.len() > ef {
                             best.pop();
@@ -1835,23 +1704,81 @@ impl HnswIndex {
         out
     }
 
-    /// How many candidates the approximate stage must surface for a final
-    /// top-`k`: `rerank_factor × k` when an exact-rerank pass will follow
-    /// (retained f32 arena, or the SQ8 side store backing a PQ tier),
-    /// otherwise just `k`.
-    fn fetch_count(&self, k: usize) -> usize {
-        match &self.quant {
-            Some(q) if q.spec.keep_f32 || q.rerank.is_some() => {
-                k.saturating_mul(q.spec.rerank_factor.max(1))
-            }
-            _ => k,
+    /// Greedy descent from `entry` (slot, top level) down to layer 1, then
+    /// the layer-0 beam.
+    #[allow(clippy::too_many_arguments)]
+    fn descend_and_beam<A: Adjacency + ?Sized>(
+        &self,
+        adj: &A,
+        sc: &Scorer<'_>,
+        (entry, top): (u32, u8),
+        ef: usize,
+        accept: Accept<'_>,
+        stats: &mut SearchStats,
+        scratch: &mut SearchScratch,
+    ) -> Vec<Scored> {
+        let mut cur = entry;
+        for lvl in (1..=top).rev() {
+            cur = self.greedy_closest(adj, sc, cur, lvl, stats, scratch);
         }
+        self.beam(adj, sc, &[cur], ef, 0, accept, stats, scratch)
     }
 
-    /// Exact-rerank stage: rescore the approximate candidates against the
-    /// most precise representation available (retained f32, else the SQ8
-    /// side store), then keep the best `k`. Pass-through when the index is
-    /// unquantized or codes are already the best representation.
+    /// The graph search shared by `top_k` and [`Self::post_filter_top_k`]:
+    /// descend and beam over the resident adjacency form (the compiled CSR
+    /// when present), admitting live slots that pass `in_beam`; then drop
+    /// results that `after` rejects and rerank the best `fetch` to `k`.
+    fn search_graph(
+        &self,
+        query: &[f32],
+        k: usize,
+        ef: usize,
+        in_beam: Filter<'_>,
+        after: Filter<'_>,
+    ) -> (Vec<Neighbor>, SearchStats) {
+        let mut stats = SearchStats::default();
+        if k == 0 || query.len() != self.cfg.dim {
+            return (Vec::new(), stats);
+        }
+        let Some(entry) = self.entry else {
+            return (Vec::new(), stats);
+        };
+        // The beam must surface enough candidates for the exact-rerank
+        // stage (rerank_factor × k on quantized tiers).
+        let fetch = self.payload().fetch_count(k);
+        let ef = ef.max(fetch);
+        let accept = Accept::Valid(in_beam);
+        // One norm pass (f32) or one LUT build (quantized) for the whole
+        // search; every candidate after this scores against cached state.
+        let sc = self.payload().scorer(query);
+        let mut scratch = self.scratch.take();
+        let mut found = match &self.packed {
+            Some(p) => {
+                stats.packed_searches += 1;
+                self.descend_and_beam(p, &sc, entry, ef, accept, &mut stats, &mut scratch)
+            }
+            None => self.descend_and_beam(
+                self.links.as_slice(),
+                &sc,
+                entry,
+                ef,
+                accept,
+                &mut stats,
+                &mut scratch,
+            ),
+        };
+        self.scratch.put(scratch);
+        found.retain(|&(_, slot)| {
+            let pass = after.accepts(self.keys[slot as usize].local().0 as usize);
+            stats.filtered_out += u64::from(!pass);
+            pass
+        });
+        found.truncate(fetch);
+        let out = self.rerank_and_take(query, found, k, &mut stats);
+        (out, stats)
+    }
+
+    /// The exact-rerank stage ([`Payload::rerank`]), keyed back to ids.
     fn rerank_and_take(
         &self,
         query: &[f32],
@@ -1859,33 +1786,9 @@ impl HnswIndex {
         k: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        let quant = match &self.quant {
-            Some(q) if q.spec.keep_f32 || q.rerank.is_some() => q,
-            _ => {
-                return found
-                    .into_iter()
-                    .take(k)
-                    .map(|(d, s)| Neighbor::new(self.keys[s as usize], d))
-                    .collect();
-            }
-        };
-        let slots: Vec<u32> = found.iter().map(|&(_, s)| s).collect();
-        let mut dists: Vec<f32> = Vec::new();
-        if quant.spec.keep_f32 {
-            let pq = PreparedQuery::new(self.cfg.metric, query);
-            pq.distance_slots(&self.vectors, self.cfg.dim, &self.norms, &slots, &mut dists);
-        } else {
-            let r = quant.rerank.as_ref().expect("checked above");
-            let qq = QuantQuery::new(&r.codec, self.cfg.metric, query);
-            qq.score_slots(&r.codes, &r.recon_norms, &slots, &mut dists);
-        }
-        stats.distance_computations += slots.len() as u64;
-        stats.reranked += slots.len() as u64;
-        let mut rescored: Vec<Scored> = slots.iter().zip(&dists).map(|(&s, &d)| (d, s)).collect();
-        rescored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        rescored
+        self.payload()
+            .rerank(query, found, k, stats)
             .into_iter()
-            .take(k)
             .map(|(d, s)| Neighbor::new(self.keys[s as usize], d))
             .collect()
     }
@@ -1918,22 +1821,8 @@ impl HnswIndex {
             }
             accepted.push(slot as u32);
         }
-        let sc = self.scorer(query);
-        let mut dists: Vec<f32> = Vec::new();
-        self.score_slots(&sc, &accepted, &mut dists);
-        stats.distance_computations += accepted.len() as u64;
-        // Keep only the `fetch` best before the (possibly exact-rerank)
-        // final stage; a bounded max-heap caps memory at O(fetch).
-        let fetch = self.fetch_count(k);
-        let mut heap: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
-        for (&slot, &d) in accepted.iter().zip(&dists) {
-            heap.push((OrdF32(d), slot));
-            if heap.len() > fetch {
-                heap.pop();
-            }
-        }
-        let mut found: Vec<Scored> = heap.into_iter().map(|(OrdF32(d), s)| (d, s)).collect();
-        found.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let p = self.payload();
+        let found = p.nearest(&p.scorer(query), &accepted, p.fetch_count(k), &mut stats);
         let out = self.rerank_and_take(query, found, k, &mut stats);
         (out, stats)
     }
@@ -1972,38 +1861,7 @@ impl HnswIndex {
         fetch_ef: usize,
         filter: Filter<'_>,
     ) -> (Vec<Neighbor>, SearchStats) {
-        let mut stats = SearchStats::default();
-        if k == 0 || query.len() != self.cfg.dim {
-            return (Vec::new(), stats);
-        }
-        let Some((entry, top)) = self.entry else {
-            return (Vec::new(), stats);
-        };
-        let fetch = self.fetch_count(k);
-        let beam = fetch_ef.max(fetch);
-        if self.packed.is_some() {
-            stats.packed_searches += 1;
-        }
-        let sc = self.scorer(query);
-        let mut scratch = self.scratch.take();
-        let mut cur = entry;
-        for lvl in (1..=top).rev() {
-            cur = self.greedy_closest(&sc, cur, lvl, &mut stats, &mut scratch);
-        }
-        let found =
-            self.search_layer0_filtered(&sc, &[cur], beam, Filter::All, &mut stats, &mut scratch);
-        self.scratch.put(scratch);
-        let mut valid: Vec<Scored> = Vec::with_capacity(found.len());
-        for (d, slot) in found {
-            if filter.accepts(self.keys[slot as usize].local().0 as usize) {
-                valid.push((d, slot));
-            } else {
-                stats.filtered_out += 1;
-            }
-        }
-        valid.truncate(fetch);
-        let out = self.rerank_and_take(query, valid, k, &mut stats);
-        (out, stats)
+        self.search_graph(query, k, fetch_ef, Filter::All, filter)
     }
 
     /// Planner-routed filtered top-k (the per-query cost-based routing of
@@ -2011,7 +1869,8 @@ impl HnswIndex {
     ///
     /// 1. estimate the true valid-live cardinality under `filter`;
     /// 2. choose brute force / in-traversal filtering / post-filter with
-    ///    enlarged `ef`;
+    ///    enlarged `ef` / a plain unfiltered beam when the filter rejects
+    ///    no live point;
     /// 3. if a graph strategy returns fewer than `min(k, valid_live)`
     ///    results (a starved beam, *not* set exhaustion), escalate: double
     ///    `ef` up to `cfg.max_ef`, then fall back to an exact scan.
@@ -2048,6 +1907,12 @@ impl HnswIndex {
                 let (r, s) = self.brute_force_top_k(query, k, filter);
                 stats.merge(&s);
                 return (r, stats);
+            }
+            PlanChoice::Unfiltered { ef } => {
+                stats.plans_unfiltered += 1;
+                let (r, s) = self.top_k(query, k, ef, Filter::All);
+                stats.merge(&s);
+                (r, ef)
             }
             PlanChoice::InTraversal { ef } => {
                 stats.plans_in_traversal += 1;
@@ -2171,34 +2036,7 @@ impl VectorIndex for HnswIndex {
         ef: usize,
         filter: Filter<'_>,
     ) -> (Vec<Neighbor>, SearchStats) {
-        let mut stats = SearchStats::default();
-        if k == 0 || query.len() != self.cfg.dim {
-            return (Vec::new(), stats);
-        }
-        let Some((entry, top)) = self.entry else {
-            return (Vec::new(), stats);
-        };
-        // The beam must surface enough candidates for the exact-rerank
-        // stage (rerank_factor × k on quantized tiers).
-        let fetch = self.fetch_count(k);
-        let ef = ef.max(fetch);
-        if self.packed.is_some() {
-            stats.packed_searches += 1;
-        }
-        // One norm pass (f32) or one LUT build (quantized) for the whole
-        // search; every candidate after this scores against cached state.
-        let sc = self.scorer(query);
-        let mut scratch = self.scratch.take();
-        let mut cur = entry;
-        for lvl in (1..=top).rev() {
-            cur = self.greedy_closest(&sc, cur, lvl, &mut stats, &mut scratch);
-        }
-        let mut found =
-            self.search_layer0_filtered(&sc, &[cur], ef, filter, &mut stats, &mut scratch);
-        self.scratch.put(scratch);
-        found.truncate(fetch);
-        let out = self.rerank_and_take(query, found, k, &mut stats);
-        (out, stats)
+        self.search_graph(query, k, ef, filter, Filter::All)
     }
 
     fn range_search(
@@ -2218,20 +2056,7 @@ impl VectorIndex for HnswIndex {
     }
 
     fn update_items(&mut self, records: &[DeltaRecord]) -> TvResult<usize> {
-        let mut applied = 0;
-        for rec in records {
-            match rec.action {
-                DeltaAction::Upsert => {
-                    self.insert(rec.id, &rec.vector)?;
-                    applied += 1;
-                }
-                DeltaAction::Delete => {
-                    self.remove(rec.id);
-                    applied += 1;
-                }
-            }
-        }
-        Ok(applied)
+        self.update_items_with(records, 1)
     }
 
     fn scan(&self) -> Box<dyn Iterator<Item = (VertexId, Vec<f32>)> + '_> {
@@ -2257,7 +2082,7 @@ impl VectorIndex for HnswIndex {
 
 /// Total-ordered f32 wrapper for heap use (NaN sorts greatest).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OrdF32(pub f32);
+struct OrdF32(f32);
 
 impl Eq for OrdF32 {}
 impl PartialOrd for OrdF32 {

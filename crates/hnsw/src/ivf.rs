@@ -8,16 +8,15 @@
 //! unchanged. It also serves as the ablation partner in the benchmark
 //! suite (HNSW vs IVF recall/latency trade-offs).
 
-use crate::index::{DeltaAction, DeltaRecord, OrdF32, QuantState, Scorer, VectorIndex};
+use crate::index::{DeltaAction, DeltaRecord, Payload, QuantState, VectorIndex};
 use crate::stats::SearchStats;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use tv_common::bitmap::Filter;
 use tv_common::kernels;
 use tv_common::{
     DistanceMetric, Neighbor, PreparedQuery, QuantSpec, SplitMix64, StorageTier, TvError, TvResult,
     VertexId,
 };
-use tv_quant::QuantQuery;
 
 /// IVF-Flat configuration.
 #[derive(Debug, Clone, Copy)]
@@ -176,76 +175,28 @@ impl IvfFlatIndex {
             + self.quant.as_ref().map_or(0, QuantState::bytes)
     }
 
-    /// Prepare a scorer for `query` against the active storage tier.
-    fn scorer<'q>(&self, query: &'q [f32]) -> Scorer<'q> {
-        match &self.quant {
-            Some(q) => Scorer::Quant(QuantQuery::new(&q.codec, self.cfg.metric, query)),
-            None => Scorer::F32(PreparedQuery::new(self.cfg.metric, query)),
+    /// The scored payload (f32 arena, norm cache, quantized tier).
+    fn payload(&self) -> Payload<'_> {
+        Payload {
+            dim: self.cfg.dim,
+            metric: self.cfg.metric,
+            vectors: &self.vectors,
+            norms: &self.norms,
+            quant: self.quant.as_ref(),
         }
     }
 
-    /// Batch-score `slots` with either backend.
-    fn score_slots(&self, sc: &Scorer<'_>, slots: &[u32], out: &mut Vec<f32>) {
-        match sc {
-            Scorer::F32(pq) => {
-                pq.distance_slots(&self.vectors, self.cfg.dim, &self.norms, slots, out);
-            }
-            Scorer::Quant(qq) => {
-                let q = self.quant.as_ref().expect("quant scorer without state");
-                qq.score_slots(&q.codes, &q.recon_norms, slots, out);
-            }
-        }
-    }
-
-    /// Candidates the probe stage must surface for a final top-`k` (see
-    /// `HnswIndex::fetch_count`).
-    fn fetch_count(&self, k: usize) -> usize {
-        match &self.quant {
-            Some(q) if q.spec.keep_f32 || q.rerank.is_some() => {
-                k.saturating_mul(q.spec.rerank_factor.max(1))
-            }
-            _ => k,
-        }
-    }
-
-    /// Exact-rerank stage over the probed shortlist (see
-    /// `HnswIndex::rerank_and_take`).
+    /// Exact-rerank stage over the probed shortlist ([`Payload::rerank`]).
     fn rerank_and_take(
         &self,
         query: &[f32],
-        mut found: Vec<(f32, u32)>,
+        found: Vec<(f32, u32)>,
         k: usize,
         stats: &mut SearchStats,
     ) -> Vec<Neighbor> {
-        found.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let quant = match &self.quant {
-            Some(q) if q.spec.keep_f32 || q.rerank.is_some() => q,
-            _ => {
-                return found
-                    .into_iter()
-                    .take(k)
-                    .map(|(d, s)| Neighbor::new(self.keys[s as usize], d))
-                    .collect();
-            }
-        };
-        let slots: Vec<u32> = found.iter().map(|&(_, s)| s).collect();
-        let mut dists: Vec<f32> = Vec::new();
-        if quant.spec.keep_f32 {
-            let pq = PreparedQuery::new(self.cfg.metric, query);
-            pq.distance_slots(&self.vectors, self.cfg.dim, &self.norms, &slots, &mut dists);
-        } else {
-            let r = quant.rerank.as_ref().expect("checked above");
-            let qq = QuantQuery::new(&r.codec, self.cfg.metric, query);
-            qq.score_slots(&r.codes, &r.recon_norms, &slots, &mut dists);
-        }
-        stats.distance_computations += slots.len() as u64;
-        stats.reranked += slots.len() as u64;
-        let mut rescored: Vec<(f32, u32)> =
-            slots.iter().zip(&dists).map(|(&s, &d)| (d, s)).collect();
-        rescored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        rescored
+        self.payload()
+            .rerank(query, found, k, stats)
             .into_iter()
-            .take(k)
             .map(|(d, s)| Neighbor::new(self.keys[s as usize], d))
             .collect()
     }
@@ -431,17 +382,11 @@ impl VectorIndex for IvfFlatIndex {
             return (Vec::new(), stats);
         }
         let d = self.cfg.dim;
-        let sc = self.scorer(query);
-        let fetch = self.fetch_count(k);
-        let mut dists: Vec<f32> = Vec::new();
-        // Bounded max-heap of the `fetch` best approximate candidates; the
-        // exact-rerank stage trims to `k`.
-        let mut heap: BinaryHeap<(OrdF32, u32)> = BinaryHeap::new();
+        let mut accepted: Vec<u32> = Vec::new();
         if !self.is_trained() {
-            // Untrained: exact scan (small indexes never need training) —
-            // gather the accepted slots, then one batched scoring pass.
+            // Untrained: exact scan (small indexes never need training).
             stats.brute_force = true;
-            let mut accepted: Vec<u32> = Vec::with_capacity(self.live);
+            accepted.reserve(self.live);
             for (&key, &slot) in &self.slot_of {
                 if !filter.accepts(key.local().0 as usize) {
                     stats.filtered_out += 1;
@@ -449,68 +394,44 @@ impl VectorIndex for IvfFlatIndex {
                 }
                 accepted.push(slot);
             }
-            self.score_slots(&sc, &accepted, &mut dists);
-            stats.distance_computations += accepted.len() as u64;
-            for (&slot, &dist) in accepted.iter().zip(&dists) {
-                heap.push((OrdF32(dist), slot));
-                if heap.len() > fetch {
-                    heap.pop();
+        } else {
+            // Rank centroids over the contiguous centroid slab in one batched
+            // call, probe the nearest `nprobe` lists. Centroids are always f32.
+            let pq = PreparedQuery::new(self.cfg.metric, query);
+            let nlist = self.lists.len();
+            let mut dists = vec![0.0f32; nlist];
+            pq.distance_batch(
+                &self.centroids[..nlist * d],
+                Some(&self.centroid_norms[..nlist]),
+                &mut dists,
+            );
+            stats.distance_computations += nlist as u64;
+            let mut ranked: Vec<(f32, usize)> = dists.iter().copied().zip(0..nlist).collect();
+            ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            for &(_, c) in ranked.iter().take(self.cfg.nprobe.max(1)) {
+                for &slot in &self.lists[c] {
+                    if self.deleted[slot as usize] {
+                        stats.deleted_skipped += 1;
+                        continue;
+                    }
+                    let key = self.keys[slot as usize];
+                    // Skip stale slots superseded by an upsert.
+                    if self.slot_of.get(&key) != Some(&slot) {
+                        continue;
+                    }
+                    if !filter.accepts(key.local().0 as usize) {
+                        stats.filtered_out += 1;
+                        continue;
+                    }
+                    accepted.push(slot);
                 }
             }
-            let found: Vec<(f32, u32)> = heap
-                .into_iter()
-                .map(|(OrdF32(dist), s)| (dist, s))
-                .collect();
-            let out = self.rerank_and_take(query, found, k, &mut stats);
-            return (out, stats);
-        }
-        // Rank centroids over the contiguous centroid slab in one batched
-        // call, probe the nearest `nprobe` lists. Centroids are always f32.
-        let pq = PreparedQuery::new(self.cfg.metric, query);
-        let nlist = self.lists.len();
-        dists.resize(nlist, 0.0);
-        pq.distance_batch(
-            &self.centroids[..nlist * d],
-            Some(&self.centroid_norms[..nlist]),
-            &mut dists,
-        );
-        stats.distance_computations += nlist as u64;
-        let mut ranked: Vec<(f32, usize)> = dists.iter().copied().zip(0..nlist).collect();
-        ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        let mut accepted: Vec<u32> = Vec::new();
-        for &(_, c) in ranked.iter().take(self.cfg.nprobe.max(1)) {
-            // Gather this list's valid members, then score them in one call.
-            accepted.clear();
-            for &slot in &self.lists[c] {
-                if self.deleted[slot as usize] {
-                    stats.deleted_skipped += 1;
-                    continue;
-                }
-                let key = self.keys[slot as usize];
-                // Skip stale slots superseded by an upsert.
-                if self.slot_of.get(&key) != Some(&slot) {
-                    continue;
-                }
-                if !filter.accepts(key.local().0 as usize) {
-                    stats.filtered_out += 1;
-                    continue;
-                }
-                accepted.push(slot);
-            }
-            self.score_slots(&sc, &accepted, &mut dists);
-            stats.distance_computations += accepted.len() as u64;
             stats.hops += accepted.len() as u64;
-            for (&slot, &dist) in accepted.iter().zip(&dists) {
-                heap.push((OrdF32(dist), slot));
-                if heap.len() > fetch {
-                    heap.pop();
-                }
-            }
         }
-        let found: Vec<(f32, u32)> = heap
-            .into_iter()
-            .map(|(OrdF32(dist), s)| (dist, s))
-            .collect();
+        // The `fetch` best approximate candidates of the accepted slots,
+        // scored in one batched pass; the exact-rerank stage trims to `k`.
+        let p = self.payload();
+        let found = p.nearest(&p.scorer(query), &accepted, p.fetch_count(k), &mut stats);
         let out = self.rerank_and_take(query, found, k, &mut stats);
         (out, stats)
     }

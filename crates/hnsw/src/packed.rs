@@ -2,7 +2,7 @@
 //!
 //! The mutable index stores adjacency as a `Vec<Vec<Vec<u32>>>` forest —
 //! three pointer hops and a separate heap allocation per node per level, so
-//! every `search_layer` step is a cache-miss chain even though the distance
+//! every beam step is a cache-miss chain even though the distance
 //! kernels are SIMD-speed and allocation-free. [`PackedGraph`] is the
 //! compiled search form: level 0 (where almost all traversal work happens)
 //! becomes one contiguous CSR — a single `u32` neighbor slab plus `n + 1`
@@ -28,9 +28,6 @@ use std::collections::VecDeque;
 /// per-node `Vec` forest at index-merge/snapshot-load time.
 #[derive(Clone, Debug)]
 pub(crate) struct PackedGraph {
-    /// Whether search loops should issue software prefetch hints for
-    /// upcoming candidates' vector/code and adjacency rows.
-    pub(crate) prefetch: bool,
     /// `n + 1` prefix offsets into [`Self::l0_nbr`]; node `s`'s level-0
     /// neighbors are `l0_nbr[l0_off[s] .. l0_off[s + 1]]`.
     l0_off: Vec<u32>,
@@ -49,7 +46,7 @@ impl PackedGraph {
     /// Compile the forest into CSR slabs. Neighbor order within every list
     /// is preserved exactly, so traversal visit order — and therefore
     /// results — match the pointer form bit for bit.
-    pub(crate) fn build(links: &[Vec<Vec<u32>>], prefetch: bool) -> Self {
+    pub(crate) fn build(links: &[Vec<Vec<u32>>]) -> Self {
         let n = links.len();
         let mut l0_off = Vec::with_capacity(n + 1);
         let mut l0_nbr = Vec::new();
@@ -75,7 +72,6 @@ impl PackedGraph {
             }
         }
         PackedGraph {
-            prefetch,
             l0_off,
             l0_nbr,
             upper_base,
@@ -218,7 +214,7 @@ mod tests {
     #[test]
     fn csr_matches_forest_on_every_level() {
         let links = forest();
-        let pg = PackedGraph::build(&links, false);
+        let pg = PackedGraph::build(&links);
         assert_eq!(pg.len(), links.len());
         for (s, per_node) in links.iter().enumerate() {
             for (lvl, list) in per_node.iter().enumerate() {
@@ -239,7 +235,7 @@ mod tests {
     #[test]
     fn thaw_roundtrips_exactly() {
         let links = forest();
-        let pg = PackedGraph::build(&links, true);
+        let pg = PackedGraph::build(&links);
         assert_eq!(pg.to_links(), links);
     }
 
@@ -278,7 +274,7 @@ mod tests {
     #[test]
     fn empty_level0_lists_pack_and_thaw() {
         let links: Vec<Vec<Vec<u32>>> = vec![vec![vec![]], vec![vec![], vec![]]];
-        let pg = PackedGraph::build(&links, false);
+        let pg = PackedGraph::build(&links);
         assert!(pg.neighbors(0, 0).is_empty());
         assert!(pg.neighbors(1, 1).is_empty());
         assert_eq!(pg.to_links(), links);

@@ -22,6 +22,11 @@ use tv_common::PlannerConfig;
 pub enum PlanChoice {
     /// No valid point exists; return empty without touching vector data.
     Empty,
+    /// Every live point is valid: a plain HNSW beam with no filter at all.
+    Unfiltered {
+        /// Beam width to search with.
+        ef: usize,
+    },
     /// Exact scan over the filtered survivors.
     BruteForce,
     /// HNSW beam that navigates through invalid points but only admits
@@ -51,6 +56,9 @@ pub struct PlanInputs {
 }
 
 /// Pick a strategy. Pure and total: every input maps to exactly one choice.
+/// Whenever a graph plan wins and the filter rejects no live point, the
+/// choice is [`PlanChoice::Unfiltered`]: the filter is a no-op, so the
+/// search runs unfiltered at the beam width the graph plan would use.
 ///
 /// Cost model (unit: one distance computation):
 /// * brute force costs `valid_live`;
@@ -64,6 +72,18 @@ pub struct PlanInputs {
 ///   small.
 #[must_use]
 pub fn choose(cfg: &PlannerConfig, inputs: PlanInputs) -> PlanChoice {
+    match choose_filtered(cfg, inputs) {
+        PlanChoice::InTraversal { ef } | PlanChoice::PostFilter { fetch_ef: ef }
+            if inputs.valid_live == inputs.live_total =>
+        {
+            PlanChoice::Unfiltered { ef }
+        }
+        plan => plan,
+    }
+}
+
+/// The cost model proper, blind to whether the filter rejects anything.
+fn choose_filtered(cfg: &PlannerConfig, inputs: PlanInputs) -> PlanChoice {
     let PlanInputs {
         valid_live,
         live_total,
@@ -150,11 +170,23 @@ mod tests {
             }
             other => panic!("expected post-filter, got {other:?}"),
         }
-        // No filter at all (s = 1): fetch_ef collapses to ef.
+    }
+
+    #[test]
+    fn unselective_full_filters_run_unfiltered() {
+        let cfg = PlannerConfig::default();
+        // No filter at all (s = 1): the post-filter beam collapses to ef.
         assert_eq!(
             choose(&cfg, inputs(100_000, 100_000)),
-            PlanChoice::PostFilter { fetch_ef: 64 }
+            PlanChoice::Unfiltered { ef: 64 }
         );
+        // The legacy static rule's graph plan is relabelled the same way.
+        assert_eq!(
+            choose(&PlannerConfig::static_threshold(64), inputs(500, 500)),
+            PlanChoice::Unfiltered { ef: 64 }
+        );
+        // Brute-force decisions do not change.
+        assert_eq!(choose(&cfg, inputs(40, 40)), PlanChoice::BruteForce);
     }
 
     #[test]

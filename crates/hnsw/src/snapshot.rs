@@ -24,8 +24,11 @@ const MAGIC2: &[u8; 8] = b"TVHNSW02";
 /// the image byte-for-byte. Uncompiled indexes keep writing v1/v2.
 const MAGIC3: &[u8; 8] = b"TVHNSW03";
 
-const LAYOUT_PACKED: u8 = 1;
-const LAYOUT_PACKED_PREFETCH: u8 = 2;
+/// v3 layout tags. Both load as the one compiled form; writers emit
+/// [`LAYOUT_COMPILED`]. Tag 1 was written when a no-prefetch compiled
+/// variant existed.
+const LAYOUT_PACKED_LEGACY: u8 = 1;
+const LAYOUT_COMPILED: u8 = 2;
 
 const TIER_SQ8: u8 = 1;
 const TIER_PQ: u8 = 2;
@@ -38,27 +41,22 @@ pub fn to_bytes(index: &HnswIndex) -> Vec<u8> {
     // A compiled index keeps no pointer forest; materialize one for the
     // stable on-disk shape (slot order is already the BFS order).
     let thawed;
-    let (links, layout_tag) = match index.packed() {
+    let (links, compiled) = match index.packed() {
         Some(p) => {
             thawed = p.to_links();
-            let tag = if p.prefetch {
-                LAYOUT_PACKED_PREFETCH
-            } else {
-                LAYOUT_PACKED
-            };
-            (thawed.as_slice(), Some(tag))
+            (thawed.as_slice(), true)
         }
-        None => (links, None),
+        None => (links, false),
     };
     let mut buf = Vec::with_capacity(64 + vectors.len() * 4 + keys.len() * 16);
-    match layout_tag {
-        Some(tag) => {
-            buf.extend_from_slice(MAGIC3);
-            buf.push(tag);
-            buf.push(u8::from(quant.is_some()));
-        }
-        None if quant.is_some() => buf.extend_from_slice(MAGIC2),
-        None => buf.extend_from_slice(MAGIC),
+    if compiled {
+        buf.extend_from_slice(MAGIC3);
+        buf.push(LAYOUT_COMPILED);
+        buf.push(u8::from(quant.is_some()));
+    } else if quant.is_some() {
+        buf.extend_from_slice(MAGIC2);
+    } else {
+        buf.extend_from_slice(MAGIC);
     }
     write_header(&mut buf, cfg, keys.len());
     if let Some(q) = quant {
@@ -173,15 +171,9 @@ pub fn from_bytes(data: &[u8]) -> TvResult<HnswIndex> {
     }
     // v3 prefixes a compiled-layout tag and a quant-presence flag before
     // the common payload.
-    let layout_prefetch = if v3 {
-        match r.u8()? {
-            LAYOUT_PACKED => Some(false),
-            LAYOUT_PACKED_PREFETCH => Some(true),
-            _ => return Err(TvError::Storage("corrupt snapshot: layout tag".into())),
-        }
-    } else {
-        None
-    };
+    if v3 && !matches!(r.u8()?, LAYOUT_PACKED_LEGACY | LAYOUT_COMPILED) {
+        return Err(TvError::Storage("corrupt snapshot: layout tag".into()));
+    }
     let has_quant = if v3 {
         match r.u8()? {
             0 => false,
@@ -309,8 +301,8 @@ pub fn from_bytes(data: &[u8]) -> TvResult<HnswIndex> {
     }
     let mut index =
         HnswIndex::from_parts(cfg, vectors, keys, links, levels, deleted, entry, quant)?;
-    if let Some(prefetch) = layout_prefetch {
-        index.compile_from_stored(prefetch);
+    if v3 {
+        index.compile_from_stored();
     }
     Ok(index)
 }
@@ -682,33 +674,41 @@ mod tests {
 
     #[test]
     fn v3_roundtrip_is_bit_identical_and_stays_compiled() {
-        for layout in [GraphLayout::Packed, GraphLayout::PackedPrefetch] {
-            let mut idx = sample_index(150);
-            idx.remove(key(7));
-            assert!(idx.compile_layout(layout));
-            let bytes = to_bytes(&idx);
-            assert_eq!(&bytes[..8], MAGIC3);
-            let restored = from_bytes(&bytes).unwrap();
-            assert_eq!(restored.layout(), layout, "layout survives the trip");
-            // Re-serialization reproduces the exact image: the stored slot
-            // order is the BFS order, so the load-time CSR rebuild runs no
-            // re-permutation.
-            assert_eq!(bytes, to_bytes(&restored), "layout {layout}");
+        let mut idx = sample_index(150);
+        idx.remove(key(7));
+        assert!(idx.compile_layout());
+        let bytes = to_bytes(&idx);
+        assert_eq!(&bytes[..8], MAGIC3);
+        assert_eq!(bytes[8], LAYOUT_COMPILED);
+        let restored = from_bytes(&bytes).unwrap();
+        assert_eq!(restored.layout(), GraphLayout::PackedPrefetch);
+        // Re-serialization reproduces the exact image: the stored slot
+        // order is the BFS order, so the load-time CSR rebuild runs no
+        // re-permutation.
+        assert_eq!(bytes, to_bytes(&restored));
 
-            let q: Vec<f32> = vec![0.5; 8];
-            let (before, s1) = idx.top_k(&q, 10, 64, Filter::All);
-            let (after, s2) = restored.top_k(&q, 10, 64, Filter::All);
-            assert_eq!(before, after);
-            assert_eq!(s1.packed_searches, 1);
-            assert_eq!(s2.packed_searches, 1);
-        }
+        let q: Vec<f32> = vec![0.5; 8];
+        let (before, s1) = idx.top_k(&q, 10, 64, Filter::All);
+        let (after, s2) = restored.top_k(&q, 10, 64, Filter::All);
+        assert_eq!(before, after);
+        assert_eq!(s1.packed_searches, 1);
+        assert_eq!(s2.packed_searches, 1);
+
+        // An image carrying the retired no-prefetch tag loads as the same
+        // compiled form and re-serializes under the current tag.
+        let mut legacy = bytes.clone();
+        legacy[8] = LAYOUT_PACKED_LEGACY;
+        let restored = from_bytes(&legacy).unwrap();
+        assert_eq!(restored.layout(), GraphLayout::PackedPrefetch);
+        assert_eq!(restored.top_k(&q, 10, 64, Filter::All).0, before);
+        assert_eq!(to_bytes(&restored), bytes);
     }
 
     #[test]
     fn v3_quantized_roundtrip_is_bit_identical() {
         for spec in [QuantSpec::sq8(), QuantSpec::pq(4).with_keep_f32(true)] {
             let mut idx = quantized_sample(120, spec);
-            assert!(idx.compile_layout(GraphLayout::PackedPrefetch));
+            assert!(idx.compile_layout());
             let bytes = to_bytes(&idx);
             assert_eq!(&bytes[..8], MAGIC3);
             let restored = from_bytes(&bytes).unwrap();
@@ -724,7 +724,7 @@ mod tests {
     #[test]
     fn v3_layout_and_quant_tags_validated() {
         let mut idx = sample_index(20);
-        idx.compile_layout(GraphLayout::Packed);
+        idx.compile_layout();
         let bytes = to_bytes(&idx);
         // Byte 8 is the layout tag, byte 9 the quant flag.
         let mut bad_layout = bytes.clone();
@@ -743,7 +743,7 @@ mod tests {
     #[test]
     fn v3_truncation_fuzz_always_errs_never_panics() {
         let mut idx = quantized_sample(30, QuantSpec::sq8());
-        idx.compile_layout(GraphLayout::PackedPrefetch);
+        idx.compile_layout();
         let bytes = to_bytes(&idx);
         for cut in 0..bytes.len() {
             assert!(from_bytes(&bytes[..cut]).is_err(), "prefix of {cut} bytes");
@@ -753,7 +753,7 @@ mod tests {
     #[test]
     fn v3_byte_flip_fuzz_never_panics_or_overallocates() {
         let mut idx = sample_index(40);
-        idx.compile_layout(GraphLayout::Packed);
+        idx.compile_layout();
         let bytes = to_bytes(&idx);
         let mut rng = SplitMix64::new(0xC511);
         for trial in 0..500 {
@@ -776,7 +776,7 @@ mod tests {
         // size clamp before any allocation.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC3);
-        bytes.push(LAYOUT_PACKED); // layout tag
+        bytes.push(LAYOUT_COMPILED); // layout tag
         bytes.push(0); // no quant
         put_u64(&mut bytes, 8); // dim
         bytes.push(0); // metric
@@ -793,7 +793,7 @@ mod tests {
     #[test]
     fn v3_restored_index_thaws_on_mutation() {
         let mut idx = sample_index(50);
-        idx.compile_layout(GraphLayout::PackedPrefetch);
+        idx.compile_layout();
         let mut restored = from_bytes(&to_bytes(&idx)).unwrap();
         restored.insert(key(1000), &[0.1; 8]).unwrap();
         assert_eq!(restored.layout(), GraphLayout::Pointer);

@@ -35,6 +35,9 @@ pub struct SearchStats {
     pub plans_in_traversal: u64,
     /// Searches the planner routed to an unfiltered beam + post-filter.
     pub plans_post_filter: u64,
+    /// Searches the planner routed to a plain unfiltered beam because the
+    /// filter rejected no live point (selectivity 1.0).
+    pub plans_unfiltered: u64,
     /// Starvation escalations: a filtered search returned fewer than `k`
     /// results while valid points remained, so `ef` was doubled and the
     /// search retried.
@@ -62,6 +65,7 @@ impl SearchStats {
         self.plans_brute += other.plans_brute;
         self.plans_in_traversal += other.plans_in_traversal;
         self.plans_post_filter += other.plans_post_filter;
+        self.plans_unfiltered += other.plans_unfiltered;
         self.ef_escalations += other.ef_escalations;
         self.brute_fallbacks += other.brute_fallbacks;
         self.packed_searches += other.packed_searches;
@@ -70,7 +74,7 @@ impl SearchStats {
     /// Total segment searches the planner routed (one count per plan).
     #[must_use]
     pub fn plans_total(&self) -> u64 {
-        self.plans_brute + self.plans_in_traversal + self.plans_post_filter
+        self.plans_brute + self.plans_in_traversal + self.plans_post_filter + self.plans_unfiltered
     }
 }
 
@@ -91,6 +95,7 @@ mod tests {
             plans_brute: 1,
             plans_in_traversal: 0,
             plans_post_filter: 2,
+            plans_unfiltered: 1,
             ef_escalations: 1,
             brute_fallbacks: 0,
             packed_searches: 2,
@@ -106,6 +111,7 @@ mod tests {
             plans_brute: 0,
             plans_in_traversal: 1,
             plans_post_filter: 0,
+            plans_unfiltered: 2,
             ef_escalations: 0,
             brute_fallbacks: 1,
             packed_searches: 1,
@@ -118,7 +124,8 @@ mod tests {
         assert_eq!(a.reranked, 7);
         assert_eq!(a.overlay_dim_mismatches, 1);
         assert!(a.brute_force);
-        assert_eq!(a.plans_total(), 4);
+        assert_eq!(a.plans_unfiltered, 3);
+        assert_eq!(a.plans_total(), 7);
         assert_eq!(a.ef_escalations, 1);
         assert_eq!(a.brute_fallbacks, 1);
         assert_eq!(a.packed_searches, 3);

@@ -210,7 +210,7 @@ fn range_search_returns_all_in_range_points_under_selective_filters() {
 /// Planner bookkeeping: each strategy is reachable, and the stats say which
 /// one ran.
 #[test]
-fn planner_routes_all_three_strategies() {
+fn planner_routes_every_strategy() {
     let (index, _vecs, live) = build(31);
     let mut rng = SplitMix64::new(31);
     let q = rand_vec(&mut rng);
@@ -222,9 +222,26 @@ fn planner_routes_all_three_strategies() {
     let (_, stats) = index.search_planned(&q, 3, 32, Filter::Valid(&bm), &cfg);
     assert_eq!(stats.plans_brute, 1);
 
-    // Full bitmap → post-filter (selectivity 1.0 ≥ 0.5 default cutoff).
+    // Full bitmap → unfiltered (the filter rejects no live point), and
+    // bit-identical to the post-filter plan it replaces on the same query.
     let full = Bitmap::full(N);
-    let (_, stats) = index.search_planned(&q, 3, 32, Filter::Valid(&full), &cfg);
+    let (got, stats) = index.search_planned(&q, 3, 32, Filter::Valid(&full), &cfg);
+    assert_eq!(stats.plans_unfiltered, 1);
+    assert_eq!(stats.plans_post_filter, 0);
+    let (want, want_stats) = index.post_filter_top_k(&q, 3, 32, Filter::Valid(&full));
+    let bits = |r: &[tv_common::Neighbor]| -> Vec<(VertexId, u32)> {
+        r.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+    };
+    assert_eq!(bits(&got), bits(&want));
+    assert_eq!(
+        stats.distance_computations,
+        want_stats.distance_computations
+    );
+    assert_eq!(stats.hops, want_stats.hops);
+
+    // Post-filter: most, but not all, live points valid.
+    let mostly = random_filter(&mut rng, 0.9);
+    let (_, stats) = index.search_planned(&q, 3, 32, Filter::Valid(&mostly), &cfg);
     assert_eq!(stats.plans_post_filter, 1);
 
     // Mid selectivity (~20% of live, above the brute crossover) with a

@@ -31,6 +31,7 @@ pub struct TenantMetrics {
     plans_brute: AtomicU64,
     plans_in_traversal: AtomicU64,
     plans_post_filter: AtomicU64,
+    plans_unfiltered: AtomicU64,
     ef_escalations: AtomicU64,
     brute_fallbacks: AtomicU64,
     latency: LatencyHistogram,
@@ -158,6 +159,8 @@ impl TenantMetrics {
             .fetch_add(stats.plans_in_traversal, Ordering::Relaxed);
         self.plans_post_filter
             .fetch_add(stats.plans_post_filter, Ordering::Relaxed);
+        self.plans_unfiltered
+            .fetch_add(stats.plans_unfiltered, Ordering::Relaxed);
         self.ef_escalations
             .fetch_add(stats.ef_escalations, Ordering::Relaxed);
         self.brute_fallbacks
@@ -180,6 +183,13 @@ impl TenantMetrics {
     #[must_use]
     pub fn plans_post_filter(&self) -> u64 {
         self.plans_post_filter.load(Ordering::Relaxed)
+    }
+
+    /// Segment searches the planner ran as a plain unfiltered beam (the
+    /// filter rejected no live point).
+    #[must_use]
+    pub fn plans_unfiltered(&self) -> u64 {
+        self.plans_unfiltered.load(Ordering::Relaxed)
     }
 
     /// Starvation escalations (doubled `ef` and retried).
@@ -226,6 +236,7 @@ impl TenantMetrics {
             self.plans_in_traversal().into(),
         );
         m.insert("plans_post_filter".into(), self.plans_post_filter().into());
+        m.insert("plans_unfiltered".into(), self.plans_unfiltered().into());
         m.insert("plan_ef_escalations".into(), self.ef_escalations().into());
         m.insert("plan_brute_fallbacks".into(), self.brute_fallbacks().into());
         m.insert("rate_limited".into(), self.rate_limited().into());

@@ -65,7 +65,6 @@ fn snb() -> Snb {
         datatype: VectorDataType::Float,
         metric: DistanceMetric::L2,
         quant: tigervector::common::QuantSpec::f32(),
-        layout: tigervector::common::GraphLayout::default(),
     })
     .unwrap();
     g.add_embedding_in_space("Post", "content_emb", "GPT4_emb_space")
